@@ -1,7 +1,7 @@
 //! `perf_report` — the dependency-free macro-benchmark harness behind the
 //! repository's tracked performance trajectory (`BENCH_*.json`).
 //!
-//! The harness times ten stages of the simulator's hot data path and the
+//! The harness times eleven stages of the simulator's hot data path and the
 //! evaluation service, each in a fresh child process (re-executing this
 //! binary with `--child --stage X`) so per-stage peak RSS is meaningful and
 //! every measurement is cold:
@@ -30,7 +30,10 @@
 //!   `load_batched` itself (the hooks' disabled path is free),
 //! * `shared_cache`  — two concurrent cold evaluator processes on one
 //!   shared cache directory, reporting any duplicate artifact writes (the
-//!   single-writer gate).
+//!   single-writer gate),
+//! * `lanes_scaling` — the mcf trace through the batched simulator at 1, 4
+//!   and 16 pinned-setting lanes, reporting the cost per lane-instruction at
+//!   each count (the lane-sharing gate).
 //!
 //! The parent runs each stage `--iters` times (default 3), reports median
 //! wall-clock and peak RSS, and writes the JSON report (default
@@ -43,19 +46,22 @@
 //! under 4× the one-point cost), the load test's batched-over-serial
 //! speedup (at least 4×), the serial/batched/fault-off digest equality
 //! (bit-identical per-job metrics), the disabled fault hooks' overhead
-//! ceiling, and zero duplicate writes in the shared-cache stage — the CI
-//! bench smoke gates.
+//! ceiling, zero duplicate writes in the shared-cache stage, and the
+//! lane-sharing ratio (16 lanes cost at most 0.75× the one-lane cost per
+//! lane-instruction) — the CI bench smoke gates.
 
 use mcd_bench::loadtest;
 use mcd_dvfs::artifact::ArtifactCache;
 use mcd_dvfs::evaluation::EvaluationConfig;
+use mcd_dvfs::global_dvs::GlobalDvsHooks;
 use mcd_dvfs::offline::OfflineConfig;
 use mcd_dvfs::pipeline::AnalysisPipeline;
 use mcd_dvfs::scheme::names;
 use mcd_dvfs::service::{EvalJob, Evaluator};
 use mcd_dvfs::FaultPlan;
+use mcd_sim::batch::BatchedSimulator;
 use mcd_sim::config::MachineConfig;
-use mcd_sim::simulator::{NullHooks, Simulator};
+use mcd_sim::simulator::{NullHooks, SimHooks, Simulator};
 use mcd_sim::trace::PackedTrace;
 use mcd_workloads::generator::generate_packed;
 use mcd_workloads::suite::Benchmark;
@@ -66,9 +72,9 @@ use std::process::{Command, ExitCode, Stdio};
 use std::time::Instant;
 
 /// Report schema version (bump on layout changes).
-const SCHEMA: u32 = 4;
+const SCHEMA: u32 = 5;
 
-const STAGES: [&str; 10] = [
+const STAGES: [&str; 11] = [
     "trace_gen",
     "baseline_sim",
     "capture",
@@ -79,6 +85,7 @@ const STAGES: [&str; 10] = [
     "load_batched",
     "fault_off_overhead",
     "shared_cache",
+    "lanes_scaling",
 ];
 
 /// The sweep stages' slowdown points: `SWEEP_POINTS` evenly spaced targets
@@ -108,6 +115,22 @@ const LOAD_SPEEDUP_FLOOR: f64 = 4.0;
 /// The hooks' disabled path is one relaxed boolean load, so anything beyond
 /// run-to-run noise is a regression.
 const FAULT_OFF_OVERHEAD_LIMIT: f64 = 1.15;
+
+/// Lane counts of the `lanes_scaling` stage.
+const LANE_COUNTS: [usize; 3] = [1, 4, 16];
+
+/// Samples per lane count in one `lanes_scaling` child. The counts are
+/// sampled in turn and each sample simulates the same number of
+/// lane-instructions (16 one-lane passes, 4 four-lane passes, one 16-lane
+/// pass), so a noisy neighbour weighs on every count alike; the child
+/// reports each count's fastest sample.
+const LANE_ROUNDS: usize = 3;
+
+/// The lane-sharing gate: at 16 lanes a lane-instruction must cost at most
+/// this fraction of its one-lane cost. Caches, branch predictor and
+/// synchronizer jitter are computed once per trace item for all lanes, so
+/// only the per-lane timing core scales with the lane count.
+const LANE_SHARING_LIMIT: f64 = 0.75;
 
 /// Extra per-iteration fields the `load_*` stages report (medians land in
 /// the stage's JSON object alongside the wall/RSS numbers).
@@ -149,19 +172,20 @@ fn main() -> ExitCode {
     // Read the committed baselines *before* measuring (the fresh report may
     // overwrite the same file). A committed report predating a stage simply
     // skips that comparison.
-    let (committed_fig4, committed_sweep, committed_load) = match &check {
+    let (committed_fig4, committed_sweep, committed_load, committed_lanes) = match &check {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(json) => (
                 json_stage_field(&json, "fig4_quick", "median_wall_ms"),
                 json_stage_field(&json, "sweep", "median_wall_ms"),
                 json_stage_field(&json, "load_batched", "median_wall_ms"),
+                json_stage_field(&json, "lanes_scaling", "median_wall_ms"),
             ),
             Err(err) => {
                 eprintln!("perf_report: cannot read {path}: {err}");
                 return ExitCode::FAILURE;
             }
         },
-        None => (None, None, None),
+        None => (None, None, None, None),
     };
 
     let exe = match std::env::current_exe() {
@@ -176,6 +200,7 @@ fn main() -> ExitCode {
     let mut medians: BTreeMap<&str, f64> = BTreeMap::new();
     let mut digests: BTreeMap<&str, Vec<String>> = BTreeMap::new();
     let mut duplicate_writes = 0.0f64;
+    let mut lane_ns: BTreeMap<usize, f64> = BTreeMap::new();
     for stage in STAGES {
         let mut walls = Vec::new();
         let mut rss = Vec::new();
@@ -238,6 +263,18 @@ fn main() -> ExitCode {
                     ",\n      \"lock_waits\": {:.0}",
                     median(&mut waits)
                 ));
+            }
+        }
+        if stage == "lanes_scaling" {
+            for lanes in LANE_COUNTS {
+                let field = format!("ns_per_lane_instr_{lanes}");
+                let mut values: Vec<f64> = lines
+                    .iter()
+                    .filter_map(|l| json_number(l, &field))
+                    .collect();
+                let value = median(&mut values);
+                lane_ns.insert(lanes, value);
+                extra.push_str(&format!(",\n      \"{field}\": {value:.1}"));
             }
         }
         stages_json.push(format!(
@@ -313,6 +350,17 @@ fn main() -> ExitCode {
                 eprintln!("perf_report: {path} predates the load stages; skipping their gate")
             }
         }
+        match committed_lanes {
+            Some(committed) => {
+                if !gate("lanes_scaling", stage_median("lanes_scaling"), committed) {
+                    return ExitCode::FAILURE;
+                }
+            }
+            None => eprintln!(
+                "perf_report: {path} predates the lanes_scaling stage; skipping its \
+                 absolute gate"
+            ),
+        }
         // The batched sweep's reason to exist: N points must stay well under
         // N independent runs. Gate the measured scaling directly.
         let scaling = stage_median("sweep") / stage_median("sweep_point");
@@ -378,6 +426,23 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+        // Lane sharing's reason to exist: the functional model is paid once
+        // per trace item, so a lane-instruction must get cheaper as lanes
+        // are added. A ratio of one pass to another, so it holds on any host.
+        let widest = LANE_COUNTS[LANE_COUNTS.len() - 1];
+        let sharing = lane_ns[&widest] / lane_ns[&1];
+        if !sharing.is_finite() || sharing > LANE_SHARING_LIMIT {
+            eprintln!(
+                "perf_report: REGRESSION — a lane-instruction at {widest} lanes costs \
+                 {sharing:.2}x its one-lane cost (limit {LANE_SHARING_LIMIT:.2}x): lanes \
+                 have stopped sharing the functional model"
+            );
+            return ExitCode::FAILURE;
+        }
+        eprintln!(
+            "perf_report: lane sharing {sharing:.2}x per lane-instruction at {widest} lanes \
+             (limit {LANE_SHARING_LIMIT:.2}x)"
+        );
         if duplicate_writes > 0.0 {
             eprintln!(
                 "perf_report: REGRESSION — shared-cache stage recorded {duplicate_writes:.0} \
@@ -458,6 +523,7 @@ fn run_child(stage: &str) -> ExitCode {
         "fault_off_overhead" => return run_load(LoadMode::BatchedFaultOff),
         "shared_cache" => return run_shared_cache(),
         "shared_cache_worker" => return run_shared_cache_worker(),
+        "lanes_scaling" => return run_lanes_scaling(),
         other => {
             eprintln!("perf_report: unknown stage `{other}`");
             return ExitCode::FAILURE;
@@ -502,6 +568,49 @@ fn run_sweep(points: usize) -> ExitCode {
         }
     }
     emit_measurement(start, "")
+}
+
+/// The mcf trace through the batched simulator at each of [`LANE_COUNTS`]
+/// lanes, every lane pinned to its own grid setting; reports the nanoseconds
+/// per lane-instruction of each count's fastest sample.
+fn run_lanes_scaling() -> ExitCode {
+    // A memory-bound benchmark: a private functional model per lane would
+    // thrash the host's caches, which is what the gate must catch.
+    let bench = match mcd_dvfs::error::find_benchmark("mcf") {
+        Ok(bench) => bench,
+        Err(err) => {
+            eprintln!("perf_report: lanes_scaling benchmark unavailable: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let trace = generate_packed(&bench.program, &bench.inputs.reference);
+    let machine = MachineConfig::default();
+    let grid = machine.grid.clone();
+    let sim = BatchedSimulator::new(machine);
+    let mut best = [f64::INFINITY; LANE_COUNTS.len()];
+    let widest = LANE_COUNTS[LANE_COUNTS.len() - 1];
+    let start = Instant::now(); // exclude generation from the timing
+    for _ in 0..LANE_ROUNDS {
+        for (slot, &lanes) in LANE_COUNTS.iter().enumerate() {
+            let sample = Instant::now();
+            for _ in 0..widest / lanes {
+                let mut hooks: Vec<GlobalDvsHooks> = (0..lanes)
+                    .map(|i| GlobalDvsHooks::new(grid.setting(grid.len() - 1 - i % grid.len())))
+                    .collect();
+                let mut lanes_dyn: Vec<&mut dyn SimHooks> =
+                    hooks.iter_mut().map(|h| h as &mut dyn SimHooks).collect();
+                black_box(sim.run(trace.iter(), &mut lanes_dyn));
+            }
+            let lane_instrs = (trace.instructions() * (widest / lanes * lanes) as u64) as f64;
+            best[slot] = best[slot].min(sample.elapsed().as_secs_f64() * 1e9 / lane_instrs);
+        }
+    }
+    let extra: String = LANE_COUNTS
+        .iter()
+        .zip(best)
+        .map(|(lanes, ns)| format!(", \"ns_per_lane_instr_{lanes}\": {ns:.3}"))
+        .collect();
+    emit_measurement(start, &extra)
 }
 
 /// Which submission path a `load_*` stage exercises.

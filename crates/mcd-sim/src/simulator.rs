@@ -22,13 +22,13 @@ use crate::cache::{AccessOutcome, CacheHierarchy};
 use crate::config::MachineConfig;
 use crate::domain::{Domain, PerDomain};
 use crate::events::{EventKind, EventTrace, PrimitiveEvent};
-use crate::instruction::{InstrClass, Marker, TraceItem};
+use crate::instruction::{BranchInfo, Instr, InstrClass, Marker, TraceItem};
 use crate::power::{EnergyAccount, PowerModel};
 use crate::reconfig::{DvfsEngine, FrequencySetting};
 use crate::recorder::{FullRecord, NoRecord, Recorder, WindowedRecord};
 use crate::resources::{OccupancyQueue, StagePacer, UnitPool};
 use crate::stats::{IntervalStats, SimStats};
-use crate::sync::Synchronizer;
+use crate::sync::{JitterCursor, JitterTape, Synchronizer};
 use crate::time::TimeNs;
 
 /// What a hook asks the simulator to do at a marker.
@@ -166,11 +166,78 @@ const FE_ENERGY_CYCLES: f64 = 1.3;
 /// Active cycles charged to the external domain per main-memory access.
 const MEMORY_ACCESS_ACTIVE_CYCLES: f64 = 10.0;
 
+/// The lane-invariant functional model: cache contents, branch-predictor
+/// tables and the synchronizer's jitter stream evolve with trace order alone,
+/// never with clock frequencies, so one instance serves every lane of a pass.
+struct FunctionalState {
+    caches: CacheHierarchy,
+    branch: BranchPredictor,
+    jitter: JitterTape,
+}
+
+/// What the functional model decided for one instruction.
+#[derive(Debug, Clone, Copy)]
+struct FunctionalOutcome {
+    icache: AccessOutcome,
+    /// The data access of a load or store.
+    dcache: Option<AccessOutcome>,
+    mispredicted: bool,
+}
+
+impl FunctionalState {
+    fn new(cfg: &MachineConfig) -> Self {
+        FunctionalState {
+            caches: CacheHierarchy::new(cfg),
+            branch: BranchPredictor::new(&cfg.branch),
+            jitter: JitterTape::new(cfg.seed, cfg.jitter_sigma_ps),
+        }
+    }
+
+    /// Steps the model over `instr` (I-cache, then D-cache, then predictor)
+    /// and opens the instruction's jitter tape.
+    fn step(&mut self, instr: &Instr) -> FunctionalOutcome {
+        self.jitter.next_instruction();
+        let icache = self.caches.access_instruction(instr.pc);
+        let dcache = instr
+            .class
+            .is_memory()
+            .then(|| self.caches.access_data(instr.mem_addr.unwrap_or(instr.pc)));
+        let mispredicted = instr.class == InstrClass::Branch && {
+            let info = instr.branch.unwrap_or(BranchInfo {
+                taken: false,
+                target: instr.pc + 4,
+            });
+            self.branch
+                .predict_and_update(instr.pc, info.taken, info.target)
+                .mispredicted
+        };
+        FunctionalOutcome {
+            icache,
+            dcache,
+            mispredicted,
+        }
+    }
+
+    /// Frees the model, keeping its cache and branch counters as the
+    /// corresponding fields of an otherwise empty [`SimStats`].
+    fn into_counters(self) -> SimStats {
+        SimStats {
+            branches: self.branch.lookups(),
+            branch_mispredicts: self.branch.mispredicts(),
+            l1d_accesses: self.caches.l1d().accesses(),
+            l1d_misses: self.caches.l1d().misses(),
+            l2_accesses: self.caches.l2().accesses(),
+            l2_misses: self.caches.l2().misses(),
+            ..SimStats::default()
+        }
+    }
+}
+
+/// One lane's timing state: everything a run keeps that depends on its
+/// clock frequencies.
 struct RunState {
     dvfs: DvfsEngine,
     sync: Synchronizer,
-    caches: CacheHierarchy,
-    branch: BranchPredictor,
     power_acct: EnergyAccount,
 
     fetch_pacer: StagePacer,
@@ -220,20 +287,21 @@ struct RunState {
     stats: SimStats,
 }
 
-/// Folds a finished run's model-held counters into its statistics.
-fn finalize_stats(mut st: RunState) -> SimStats {
+/// Folds a finished lane's model-held counters, and the shared functional
+/// model's (see [`FunctionalState::into_counters`]), into its statistics.
+fn finalize_stats(mut st: RunState, functional: &SimStats) -> SimStats {
     st.stats.run_time = st.last_commit;
     st.stats.total_energy = st.power_acct.total();
     st.stats.domain_energy = PerDomain::from_fn(|d| st.power_acct.domain_total(d).as_units());
     st.stats.domain_active_cycles = PerDomain::from_fn(|d| st.power_acct.domain_active_cycles(d));
     st.stats.sync_crossings = st.sync.crossings();
     st.stats.sync_stalls = st.sync.stalls();
-    st.stats.branches = st.branch.lookups();
-    st.stats.branch_mispredicts = st.branch.mispredicts();
-    st.stats.l1d_accesses = st.caches.l1d().accesses();
-    st.stats.l1d_misses = st.caches.l1d().misses();
-    st.stats.l2_accesses = st.caches.l2().accesses();
-    st.stats.l2_misses = st.caches.l2().misses();
+    st.stats.branches = functional.branches;
+    st.stats.branch_mispredicts = functional.branch_mispredicts;
+    st.stats.l1d_accesses = functional.l1d_accesses;
+    st.stats.l1d_misses = functional.l1d_misses;
+    st.stats.l2_accesses = functional.l2_accesses;
+    st.stats.l2_misses = functional.l2_misses;
     st.stats
 }
 
@@ -277,13 +345,13 @@ impl Simulator {
             let mut recorder = FullRecord {
                 trace: EventTrace::for_instructions(if hint > 0 { hint } else { 4096 }),
             };
-            let stats = self.run_inner(iter, hooks, &mut recorder);
+            let stats = self.run_one(iter, hooks, &mut recorder);
             SimResult {
                 stats,
                 events: Some(recorder.trace),
             }
         } else {
-            let stats = self.run_inner(trace.into_iter(), hooks, &mut NoRecord);
+            let stats = self.run_one(trace.into_iter(), hooks, &mut NoRecord);
             SimResult {
                 stats,
                 events: None,
@@ -320,7 +388,7 @@ impl Simulator {
         F: FnMut(u64, &mut EventTrace),
     {
         let mut recorder = WindowedRecord::new(window_instructions, sink);
-        let stats = self.run_inner(trace.into_iter(), hooks, &mut recorder);
+        let stats = self.run_one(trace.into_iter(), hooks, &mut recorder);
         recorder.finish();
         SimResult {
             stats,
@@ -328,28 +396,50 @@ impl Simulator {
         }
     }
 
-    /// Runs `trace` once while carrying one fully independent state lane per
-    /// entry of `lanes`: every trace item is fed to every lane's state in
-    /// lane order, so each lane's evolution is a pure function of the shared
-    /// item stream and its own hooks — bit-identical to running the trace
-    /// once per lane with [`Simulator::run`] and `record_events == false`.
-    /// The win is paying the trace decode (and iteration) cost once for N
-    /// configurations. Event recording is not supported in batch mode.
+    /// Runs `trace` once for every entry of `lanes`: each instruction steps
+    /// the shared functional model once (caches, branch predictor, jitter
+    /// tape) and then the timing state of every lane, in lane order. A lane's
+    /// timing depends only on the shared outcomes and its own hooks, so its
+    /// statistics are bit-identical to running the trace alone with
+    /// [`Simulator::run`] and `record_events == false`. The win is paying
+    /// trace decode and the functional model once for N configurations.
+    /// Event recording is not supported in batch mode.
     pub(crate) fn run_lanes<I>(&self, trace: I, lanes: &mut [&mut dyn SimHooks]) -> Vec<SimStats>
     where
         I: Iterator<Item = TraceItem>,
     {
+        self.run_pass(trace, lanes, &mut NoRecord)
+    }
+
+    /// A one-lane pass recording into `recorder`.
+    fn run_one<I, H, R>(&self, trace: I, hooks: &mut H, recorder: &mut R) -> SimStats
+    where
+        I: Iterator<Item = TraceItem>,
+        H: SimHooks + ?Sized,
+        R: Recorder,
+    {
+        let mut stats = self.run_pass(trace, std::slice::from_mut(&mut &mut *hooks), recorder);
+        stats.pop().expect("one lane yields one result")
+    }
+
+    /// The trace pass behind every run. An active `recorder` receives the
+    /// events of every lane, so recording passes carry exactly one lane.
+    fn run_pass<I, H, R>(&self, trace: I, lanes: &mut [&mut H], recorder: &mut R) -> Vec<SimStats>
+    where
+        I: Iterator<Item = TraceItem>,
+        H: SimHooks + ?Sized,
+        R: Recorder,
+    {
+        debug_assert!(!R::ACTIVE || lanes.len() == 1, "a recorder serves one lane");
+        // The shared model is allocated before the lane states and freed
+        // before them. Either other order raised the peak resident memory of
+        // the one-lane tournament benchmark workload from 165.6 MB to 178 or
+        // 197 MB on a 2-core Xeon (glibc allocator layout, not extra data).
+        let mut functional = FunctionalState::new(&self.config);
         let mut states: Vec<RunState> = lanes
             .iter()
-            .map(|hooks| {
-                let mut st = self.fresh_state(hooks.interval_ns());
-                if let Some(setting) = hooks.initial_setting() {
-                    st.dvfs.set_immediate(setting);
-                }
-                st
-            })
+            .map(|hooks| self.fresh_state(&**hooks))
             .collect();
-        let mut recorder = NoRecord;
         for item in trace {
             match item {
                 TraceItem::Marker(marker) => {
@@ -360,32 +450,43 @@ impl Simulator {
                     }
                 }
                 TraceItem::Instr(instr) => {
+                    let outcome = functional.step(&instr);
                     for (st, hooks) in states.iter_mut().zip(lanes.iter_mut()) {
-                        self.execute_instruction(st, &instr, &mut **hooks, &mut recorder);
+                        let mut jitter = functional.jitter.cursor();
+                        self.execute_instruction(
+                            st,
+                            &instr,
+                            outcome,
+                            &mut jitter,
+                            &mut **hooks,
+                            recorder,
+                        );
                     }
                 }
             }
         }
-        states.into_iter().map(finalize_stats).collect()
+        let functional = functional.into_counters();
+        states
+            .into_iter()
+            .map(|st| finalize_stats(st, &functional))
+            .collect()
     }
 
-    /// A pristine per-run state for this simulator's machine configuration.
-    /// `interval_len` is the controlling hooks' [`SimHooks::interval_ns`].
-    fn fresh_state(&self, interval_len: Option<f64>) -> RunState {
+    /// A pristine lane state for this simulator's machine configuration,
+    /// under the controlling `hooks`.
+    fn fresh_state<H: SimHooks + ?Sized>(&self, hooks: &H) -> RunState {
         let cfg = &self.config;
-        let sync = if cfg.synchronization_enabled {
-            let mut s = Synchronizer::new(cfg.sync_window_ps, cfg.jitter_sigma_ps, cfg.seed);
-            s.reset_counters();
-            s
-        } else {
-            Synchronizer::disabled(cfg.seed)
-        };
-
+        let interval_len = hooks.interval_ns();
+        let mut dvfs = DvfsEngine::new(cfg.grid.clone(), cfg.voltage_map.clone(), cfg.ramp);
+        if let Some(setting) = hooks.initial_setting() {
+            // The run begins with the domains already at the requested operating
+            // points (no ramp): the setting describes the state the program
+            // enters the window with, not a mid-run transition.
+            dvfs.set_immediate(setting);
+        }
         RunState {
-            dvfs: DvfsEngine::new(cfg.grid.clone(), cfg.voltage_map.clone(), cfg.ramp),
-            sync,
-            caches: CacheHierarchy::new(cfg),
-            branch: BranchPredictor::new(&cfg.branch),
+            dvfs,
+            sync: Synchronizer::on_tape(cfg.sync_window_ps, cfg.synchronization_enabled),
             power_acct: EnergyAccount::new(),
             fetch_pacer: StagePacer::new(cfg.decode_width),
             retire_pacer: StagePacer::new(cfg.retire_width),
@@ -421,37 +522,6 @@ impl Simulator {
         }
     }
 
-    fn run_inner<I, H, R>(&self, trace: I, hooks: &mut H, recorder: &mut R) -> SimStats
-    where
-        I: Iterator<Item = TraceItem>,
-        H: SimHooks + ?Sized,
-        R: Recorder,
-    {
-        let mut st = self.fresh_state(hooks.interval_ns());
-
-        if let Some(setting) = hooks.initial_setting() {
-            // The run begins with the domains already at the requested operating
-            // points (no ramp): the setting describes the state the program
-            // enters the window with, not a mid-run transition.
-            st.dvfs.set_immediate(setting);
-        }
-
-        for item in trace {
-            match item {
-                TraceItem::Marker(marker) => {
-                    st.stats.markers += 1;
-                    let action = hooks.on_marker(&marker, st.last_commit, st.instr_index);
-                    self.apply_action(&mut st, action);
-                }
-                TraceItem::Instr(instr) => {
-                    self.execute_instruction(&mut st, &instr, hooks, recorder);
-                }
-            }
-        }
-
-        finalize_stats(st)
-    }
-
     fn apply_action(&self, st: &mut RunState, action: HookAction) {
         if let Some(region) = action.set_region {
             st.current_region = region;
@@ -485,10 +555,13 @@ impl Simulator {
     }
 
     #[allow(clippy::too_many_lines)]
+    #[allow(clippy::too_many_arguments)]
     fn execute_instruction<H: SimHooks + ?Sized, R: Recorder>(
         &self,
         st: &mut RunState,
-        instr: &crate::instruction::Instr,
+        instr: &Instr,
+        functional: FunctionalOutcome,
+        jitter: &mut JitterCursor<'_>,
         hooks: &mut H,
         recorder: &mut R,
     ) {
@@ -510,26 +583,28 @@ impl Simulator {
         let fetch_start = st.fetch_pacer.admit(fetch_ready, fe_period);
 
         // Instruction cache access.
-        let icache_outcome = st.caches.access_instruction(instr.pc);
+        let icache_outcome = functional.icache;
         let mut fetch_latency = fe_freq.cycles_to_time(cfg.l1i.latency_cycles as f64);
         let fe_active_cycles = cfg.l1i.latency_cycles as f64 + DECODE_CYCLES;
         if icache_outcome.missed_l1() {
             // The L2 lives in the memory domain: cross, access, cross back.
             let mem_freq = st.dvfs.frequency(Domain::Memory, fetch_start);
-            let c1 = st.sync.crossing(
+            let c1 = st.sync.crossing_on_tape(
                 Domain::FrontEnd,
                 fe_freq,
                 Domain::Memory,
                 mem_freq,
                 fetch_start,
+                jitter,
             );
             let l2_time = mem_freq.cycles_to_time(cfg.l2.latency_cycles as f64);
-            let c2 = st.sync.crossing(
+            let c2 = st.sync.crossing_on_tape(
                 Domain::Memory,
                 mem_freq,
                 Domain::FrontEnd,
                 fe_freq,
                 fetch_start + l2_time,
+                jitter,
             );
             fetch_latency += c1.penalty + l2_time + c2.penalty;
             self.charge_active(
@@ -568,12 +643,13 @@ impl Simulator {
         let exec_freq = st.dvfs.frequency(exec_domain, dispatch_time);
 
         // Dispatch crosses from the front end into the execution domain.
-        let crossing = st.sync.crossing(
+        let crossing = st.sync.crossing_on_tape(
             Domain::FrontEnd,
             fe_freq,
             exec_domain,
             exec_freq,
             dispatch_time,
+            jitter,
         );
         let mut issue_ready = dispatch_time + crossing.penalty;
 
@@ -600,12 +676,13 @@ impl Simulator {
                 let (prod_done, prod_domain) = st.dep_ring[producer_idx];
                 let mut ready = prod_done;
                 if prod_domain != exec_domain {
-                    let c = st.sync.crossing(
+                    let c = st.sync.crossing_on_tape(
                         prod_domain,
                         st.dvfs.frequency(prod_domain, prod_done),
                         exec_domain,
                         exec_freq,
                         prod_done,
+                        jitter,
                     );
                     ready += c.penalty;
                 }
@@ -618,9 +695,7 @@ impl Simulator {
         let base_cycles = instr.class.base_latency() as f64;
         let mut exec_cycles = base_cycles;
         let mut external_latency = TimeNs::ZERO;
-        if instr.class.is_memory() {
-            let addr = instr.mem_addr.unwrap_or(instr.pc);
-            let outcome = st.caches.access_data(addr);
+        if let Some(outcome) = functional.dcache {
             exec_cycles += cfg.l1d.latency_cycles as f64;
             match outcome {
                 AccessOutcome::L1Hit => {}
@@ -661,32 +736,31 @@ impl Simulator {
         self.charge_active(st, exec_domain, exec_cycles, issue_start);
 
         // Branch resolution.
-        let mut was_mispredicted = false;
-        if instr.class == InstrClass::Branch {
-            let info = instr.branch.unwrap_or(crate::instruction::BranchInfo {
-                taken: false,
-                target: instr.pc + 4,
-            });
-            let outcome = st
-                .branch
-                .predict_and_update(instr.pc, info.taken, info.target);
-            if outcome.mispredicted {
-                was_mispredicted = true;
-                let c =
-                    st.sync
-                        .crossing(exec_domain, exec_freq, Domain::FrontEnd, fe_freq, complete);
-                st.redirect_time = complete
-                    + c.penalty
-                    + fe_freq.cycles_to_time(cfg.branch.mispredict_penalty as f64);
-            }
+        let was_mispredicted = functional.mispredicted;
+        if was_mispredicted {
+            let c = st.sync.crossing_on_tape(
+                exec_domain,
+                exec_freq,
+                Domain::FrontEnd,
+                fe_freq,
+                complete,
+                jitter,
+            );
+            st.redirect_time =
+                complete + c.penalty + fe_freq.cycles_to_time(cfg.branch.mispredict_penalty as f64);
         }
 
         // ------------------------------------------------------------------
         // Commit (in order, in the front-end domain).
         // ------------------------------------------------------------------
-        let back = st
-            .sync
-            .crossing(exec_domain, exec_freq, Domain::FrontEnd, fe_freq, complete);
+        let back = st.sync.crossing_on_tape(
+            exec_domain,
+            exec_freq,
+            Domain::FrontEnd,
+            fe_freq,
+            complete,
+            jitter,
+        );
         let commit_ready = (complete + back.penalty).max(st.last_commit);
         let commit_time = st.retire_pacer.admit(commit_ready, fe_period);
 

@@ -63,6 +63,81 @@ impl JitterRng {
         // Sum of 6 uniforms: mean 3, variance 6/12 = 0.5.
         (acc - 3.0) / 0.5f64.sqrt()
     }
+
+    /// One crossing's jitter sample in picoseconds: the independent edge
+    /// noise of the producer and the consumer clock, `sigma_ps` each.
+    fn crossing_jitter_ps(&mut self, sigma_ps: f64) -> f64 {
+        self.next_normal() * sigma_ps - self.next_normal() * sigma_ps
+    }
+}
+
+/// The most crossings one instruction evaluates: two for an I-cache miss
+/// (to the L2 and back), dispatch, two cross-domain operands, a mispredict
+/// redirect and commit.
+const MAX_CROSSINGS_PER_INSTR: usize = 7;
+
+/// One instruction's jitter samples, drawn on demand and shared by every
+/// lane simulating that instruction.
+///
+/// Which crossings an instruction evaluates depends only on its class, its
+/// dependence distances and its cache and branch outcomes, never on clock
+/// frequencies, so every lane evaluates the same crossing sequence. Lane
+/// reads of sample `k` ([`JitterCursor::next_sample`]) therefore see the
+/// `k`-th jitter draw of the instruction no matter which lane drew it first,
+/// and the stream advances exactly as one self-drawing [`Synchronizer`]
+/// would advance it.
+#[derive(Debug, Clone)]
+pub(crate) struct JitterTape {
+    rng: JitterRng,
+    sigma_ps: f64,
+    samples: [f64; MAX_CROSSINGS_PER_INSTR],
+    drawn: usize,
+}
+
+impl JitterTape {
+    /// A tape over the jitter stream `seed` with standard deviation `sigma_ps`.
+    pub(crate) fn new(seed: u64, sigma_ps: f64) -> Self {
+        JitterTape {
+            rng: JitterRng::new(seed),
+            sigma_ps,
+            samples: [0.0; MAX_CROSSINGS_PER_INSTR],
+            drawn: 0,
+        }
+    }
+
+    /// Starts the next instruction's tape; the stream itself continues.
+    pub(crate) fn next_instruction(&mut self) {
+        self.drawn = 0;
+    }
+
+    /// A reader positioned at the current instruction's first sample.
+    pub(crate) fn cursor(&mut self) -> JitterCursor<'_> {
+        JitterCursor {
+            tape: self,
+            next: 0,
+        }
+    }
+}
+
+/// One lane's read position on the current instruction's [`JitterTape`].
+pub(crate) struct JitterCursor<'a> {
+    tape: &'a mut JitterTape,
+    next: usize,
+}
+
+impl JitterCursor<'_> {
+    /// The next sample of the instruction, drawn from the stream if no lane
+    /// has needed it yet.
+    fn next_sample(&mut self) -> f64 {
+        let k = self.next;
+        let tape = &mut *self.tape;
+        if k == tape.drawn {
+            tape.samples[k] = tape.rng.crossing_jitter_ps(tape.sigma_ps);
+            tape.drawn += 1;
+        }
+        self.next += 1;
+        tape.samples[k]
+    }
 }
 
 /// Splits `a * b` into an exact double-double `(hi, lo)` pair
@@ -141,6 +216,14 @@ pub struct CrossingOutcome {
     pub stalled: bool,
 }
 
+impl CrossingOutcome {
+    /// A crossing that passes without delay.
+    const NO_STALL: CrossingOutcome = CrossingOutcome {
+        penalty: TimeNs::ZERO,
+        stalled: false,
+    };
+}
+
 /// The inter-domain synchronization circuit.
 ///
 /// ```
@@ -198,6 +281,17 @@ impl Synchronizer {
         s
     }
 
+    /// A synchronizer whose crossings are evaluated only through
+    /// [`Synchronizer::crossing_on_tape`], so it needs no jitter stream of
+    /// its own; `enabled == false` models the fully synchronous processor
+    /// like [`Synchronizer::disabled`].
+    pub(crate) fn on_tape(window_ps: f64, enabled: bool) -> Self {
+        Synchronizer {
+            enabled,
+            ..Synchronizer::new(window_ps, 0.0, 0)
+        }
+    }
+
     /// Whether synchronization penalties are being modelled.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -235,12 +329,48 @@ impl Synchronizer {
         consumer_freq: MegaHertz,
         now: TimeNs,
     ) -> CrossingOutcome {
-        if producer == consumer || !self.enabled {
-            return CrossingOutcome {
-                penalty: TimeNs::ZERO,
-                stalled: false,
-            };
+        if !self.draws(producer, consumer) {
+            return CrossingOutcome::NO_STALL;
         }
+        let jitter_ps = self.rng.crossing_jitter_ps(self.jitter_sigma_ps);
+        self.crossing_with_jitter(producer_freq, consumer_freq, now, jitter_ps)
+    }
+
+    /// [`Synchronizer::crossing`] with the jitter sample read from `jitter`
+    /// instead of this synchronizer's own stream. Crossings that draw no
+    /// sample (same domain, or synchronization disabled) leave the cursor
+    /// where it is.
+    pub(crate) fn crossing_on_tape(
+        &mut self,
+        producer: Domain,
+        producer_freq: MegaHertz,
+        consumer: Domain,
+        consumer_freq: MegaHertz,
+        now: TimeNs,
+        jitter: &mut JitterCursor<'_>,
+    ) -> CrossingOutcome {
+        if !self.draws(producer, consumer) {
+            return CrossingOutcome::NO_STALL;
+        }
+        self.crossing_with_jitter(producer_freq, consumer_freq, now, jitter.next_sample())
+    }
+
+    /// Whether a crossing from `producer` to `consumer` is evaluated (and so
+    /// consumes one jitter sample): only between distinct domains, and only
+    /// while synchronization is modelled.
+    fn draws(&self, producer: Domain, consumer: Domain) -> bool {
+        producer != consumer && self.enabled
+    }
+
+    /// Evaluates a drawing crossing whose clock edges are perturbed by
+    /// `jitter_ps`.
+    fn crossing_with_jitter(
+        &mut self,
+        producer_freq: MegaHertz,
+        consumer_freq: MegaHertz,
+        now: TimeNs,
+        jitter_ps: f64,
+    ) -> CrossingOutcome {
         self.crossings += 1;
 
         let t_prod = producer_freq.period().as_ns() * 1000.0; // ps
@@ -255,9 +385,7 @@ impl Synchronizer {
         // synchronization window, that edge cannot be used and the value waits
         // one additional consumer cycle.
         let now_ps = now.as_ns() * 1000.0;
-        let jitter = self.rng.next_normal() * self.jitter_sigma_ps
-            - self.rng.next_normal() * self.jitter_sigma_ps;
-        let phase = exact_rem_euclid(now_ps + jitter, t_cons);
+        let phase = exact_rem_euclid(now_ps + jitter_ps, t_cons);
         let distance_to_next_edge = t_cons - phase;
 
         if distance_to_next_edge < window {
@@ -267,10 +395,7 @@ impl Synchronizer {
                 stalled: true,
             }
         } else {
-            CrossingOutcome {
-                penalty: TimeNs::ZERO,
-                stalled: false,
-            }
+            CrossingOutcome::NO_STALL
         }
     }
 
@@ -431,6 +556,75 @@ mod tests {
         // A stalled crossing into a 250 MHz domain costs 4 ns instead of 1 ns,
         // even though stalls are rarer (window is capped by the faster clock).
         assert!(total_slow > total_fast * 0.5);
+    }
+
+    /// The simulator evaluates crossings on a shared [`JitterTape`]; the
+    /// public self-drawing [`Synchronizer::crossing`] must agree with it
+    /// outcome for outcome and counter for counter, so the standalone API is
+    /// an exact model of the simulator's synchronizer.
+    #[test]
+    fn self_drawing_crossing_matches_the_jitter_tape() {
+        let (window, sigma, seed) = (300.0, 110.0, 0xC0FFEE);
+        let mhz = MegaHertz::new;
+        // (producer, consumer, producer MHz, consumer MHz); the same-domain
+        // crossings draw nothing and must not shift later samples.
+        let kinds = [
+            (Domain::FrontEnd, Domain::Integer, 1000.0, 1000.0),
+            (Domain::Integer, Domain::Integer, 750.0, 750.0),
+            (Domain::Integer, Domain::FrontEnd, 500.0, 1000.0),
+            (Domain::FrontEnd, Domain::Memory, 1000.0, 250.0),
+            (Domain::Memory, Domain::Memory, 250.0, 250.0),
+            (Domain::Memory, Domain::FloatingPoint, 250.0, 875.0),
+            (Domain::FloatingPoint, Domain::FrontEnd, 625.0, 1000.0),
+        ];
+        for enabled in [true, false] {
+            let mut drawing = if enabled {
+                Synchronizer::new(window, sigma, seed)
+            } else {
+                Synchronizer::disabled(seed)
+            };
+            let mut taped = Synchronizer::on_tape(window, enabled);
+            let mut tape = JitterTape::new(seed, sigma);
+            // Instructions of one to seven crossings each.
+            for instr in 0..3000usize {
+                tape.next_instruction();
+                let mut cursor = tape.cursor();
+                for c in 0..=instr % MAX_CROSSINGS_PER_INSTR {
+                    let (p, q, fp, fq) = kinds[(instr * 3 + c) % kinds.len()];
+                    let now = TimeNs::new((instr * 7 + c) as f64 * 0.731);
+                    let want = drawing.crossing(p, mhz(fp), q, mhz(fq), now);
+                    let got = taped.crossing_on_tape(p, mhz(fp), q, mhz(fq), now, &mut cursor);
+                    assert_eq!(got, want, "instruction {instr}, crossing {c}");
+                }
+            }
+            assert_eq!(taped.crossings(), drawing.crossings());
+            assert_eq!(taped.stalls(), drawing.stalls());
+            if enabled {
+                assert!(drawing.stalls() > 0 && drawing.stalls() < drawing.crossings());
+            } else {
+                assert_eq!(drawing.crossings(), 0);
+                assert_eq!(tape.drawn, 0, "a disabled synchronizer draws no jitter");
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_reading_one_tape_see_the_same_samples() {
+        let mut tape = JitterTape::new(9, 110.0);
+        let mut reference = JitterRng::new(9);
+        for _ in 0..100 {
+            tape.next_instruction();
+            let first: Vec<f64> = {
+                let mut cursor = tape.cursor();
+                (0..4).map(|_| cursor.next_sample()).collect()
+            };
+            let mut cursor = tape.cursor();
+            for sample in &first {
+                assert_eq!(cursor.next_sample().to_bits(), sample.to_bits());
+                let want = reference.crossing_jitter_ps(110.0);
+                assert_eq!(sample.to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -30,9 +30,10 @@ fmt:
 # batched slowdown sweep (one point vs. ten points in a single batch), the
 # load-test stream under serial and batched submission, the same stream with
 # disabled fault-injection hooks installed (their off-path must be free),
-# and the shared-cache single-writer stage; each stage runs in a fresh child
-# process (median of 3) and the report goes to BENCH_8.json. See README
-# "Performance" for the schema and trajectory.
+# the shared-cache single-writer stage, and batched-lane scaling at 1, 4 and
+# 16 lanes; each stage runs in a fresh child process (median of 3) and the
+# report goes to BENCH_8.json. See README "Performance" for the schema and
+# trajectory.
 bench:
     cargo run --release --bin perf_report
 
@@ -41,10 +42,17 @@ bench:
 # batched sweep costs 4x or more the one-point cost, when batched load-test
 # submission is less than 4x serial throughput, when the serial, batched and
 # fault-off metrics digests diverge, when the disabled fault hooks cost more
-# than 15% over plain batched load, or when the shared-cache stage records a
-# duplicate artifact write (the CI gates).
+# than 15% over plain batched load, when the shared-cache stage records a
+# duplicate artifact write, or when a lane-instruction at 16 batched lanes
+# costs more than 0.75x its one-lane cost (the CI gates).
 bench-check:
     cargo run --release --bin perf_report -- --check BENCH_8.json --out /tmp/bench-check.json
+
+# The repository's benchmark (perfbench/, declared in BENCHMARK.json): all
+# three workloads end to end, each result checked against perfbench/golden.txt.
+# The last line per workload is one JSON object; exits 1 on `correct: false`.
+perfbench seed="0" seconds="30":
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload all --seed {{seed}} --seconds {{seconds}} --trace 0
 
 # Replay the full synthetic load-test stream: serial-vs-batched throughput
 # with latency percentiles and a bit-exact metrics digest, admission control
