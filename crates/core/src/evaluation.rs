@@ -225,6 +225,7 @@ pub fn evaluate_with_registry(
         registry,
         &reference_trace,
         &baseline,
+        |_| None,
         |_| {},
     )?;
     Ok(BenchmarkEvaluation {
@@ -238,26 +239,29 @@ pub fn evaluate_with_registry(
 /// baseline, invoking `on_outcome` after each scheme finishes — the streaming
 /// core shared by [`evaluate_with_registry`] and the
 /// [`Evaluator`](crate::service::Evaluator) service (which turns the callback
-/// into `SchemeFinished` events).
+/// into `SchemeFinished` events). `simulated(i)` yields the statistics of
+/// scheme `i` when a batched trace pass already ran it; otherwise the scheme
+/// runs here.
 pub(crate) fn run_schemes(
     bench: &Benchmark,
     machine: &MachineConfig,
     registry: &[Box<dyn DvfsScheme>],
     reference_trace: &PackedTrace,
     baseline: &SimStats,
+    mut simulated: impl FnMut(usize) -> Option<SimStats>,
     mut on_outcome: impl FnMut(&SchemeOutcome),
 ) -> Result<Vec<SchemeOutcome>, McdError> {
     let mut outcomes: Vec<SchemeOutcome> = Vec::with_capacity(registry.len());
-    for scheme in registry {
-        let stats = {
-            let ctx = SchemeContext {
+    for (i, scheme) in registry.iter().enumerate() {
+        let stats = match simulated(i) {
+            Some(stats) => stats,
+            None => scheme.run(&SchemeContext {
                 benchmark: bench,
                 machine,
                 reference_trace,
                 baseline,
                 prior: &outcomes,
-            };
-            scheme.run(&ctx)?
+            })?,
         };
         let outcome = SchemeOutcome {
             name: scheme.name().to_string(),

@@ -22,13 +22,15 @@ use crate::learned::{LearnedConfig, LearnedPolicy, LearnedTable};
 use crate::offline::{OfflineConfig, OfflineSchedule};
 use crate::online::{OnlineConfig, OnlineController};
 use crate::pid::{PidConfig, PidController};
-use crate::pipeline::{schedule, threshold_windows, AnalysisPipeline};
+use crate::pipeline::schedule::{self, ScheduleHooks};
+use crate::pipeline::{threshold_windows, AnalysisPipeline};
 use crate::profile::{
     self, instrumentation_plan, train, train_with_histograms, ProfilePlan, TrainingConfig,
 };
 use crate::sysscale::{SysScaleConfig, SysScaleController};
+use mcd_profiling::edit::InstrumentationPlan;
 use mcd_sim::config::MachineConfig;
-use mcd_sim::simulator::{SimHooks, Simulator};
+use mcd_sim::simulator::{NullHooks, SimHooks, Simulator};
 use mcd_sim::stats::SimStats;
 use mcd_sim::trace::PackedTrace;
 use mcd_workloads::suite::Benchmark;
@@ -132,10 +134,10 @@ pub trait DvfsScheme: fmt::Debug + Send + Sync {
 
     /// The scheme as [`Any`], for schemes that support batched (multi-lane)
     /// execution in the [`Evaluator`](crate::service::Evaluator): the batch
-    /// worker downcasts to the concrete type to prepare one simulation lane
-    /// per batch member. The default (`None`) makes the scheme run serially
-    /// inside a batch, which is always correct — batching is purely a
-    /// wall-clock optimization.
+    /// worker downcasts to the concrete type to prepare the scheme's lane of
+    /// the batch's trace pass. The default (`None`) makes the scheme run on
+    /// its own after the pass, which is always correct — batching is purely
+    /// a wall-clock optimization.
     fn as_any(&self) -> Option<&dyn Any> {
         None
     }
@@ -272,11 +274,11 @@ impl OfflineScheme {
     /// differ only in the slowdown target share one capture/DAG/shaker pass
     /// even when the on-disk cache is disabled. The resulting schedules are
     /// bit-identical to [`OfflineScheme::schedule_for`]'s.
-    pub(crate) fn schedule_for_batched(
+    fn schedule_for_batched(
         &self,
         ctx: &SchemeContext<'_>,
         simulator: &Simulator,
-        pool: &mut HashMap<ArtifactKey, Arc<Vec<Option<RegionHistograms>>>>,
+        pool: &mut BatchPool,
     ) -> OfflineSchedule {
         let key = artifact::offline_schedule_key(
             ctx.benchmark.name,
@@ -303,21 +305,21 @@ impl OfflineScheme {
             ctx.machine,
             &self.config,
         );
-        if let Some(windows) = pool.get(&histograms_key) {
+        if let Some(windows) = pool.windows.get(&histograms_key) {
             let schedule = threshold_windows(windows, self.config.slowdown, grid);
             self.cache.store_schedule(&key, &schedule);
             return schedule;
         }
         if let Some(windows) = self.cache.load_window_histograms(&histograms_key, grid) {
             let schedule = threshold_windows(&windows, self.config.slowdown, grid);
-            pool.insert(histograms_key, Arc::new(windows));
+            pool.windows.insert(histograms_key, windows);
             self.cache.store_schedule(&key, &schedule);
             return schedule;
         }
         let _histograms_lock = self.cache.lock_publication(&histograms_key);
         if let Some(windows) = self.cache.recheck_window_histograms(&histograms_key, grid) {
             let schedule = threshold_windows(&windows, self.config.slowdown, grid);
-            pool.insert(histograms_key, Arc::new(windows));
+            pool.windows.insert(histograms_key, windows);
             self.cache.store_schedule(&key, &schedule);
             return schedule;
         }
@@ -327,7 +329,7 @@ impl OfflineScheme {
         self.cache
             .store_window_histograms(&histograms_key, &windows, grid);
         self.cache.store_schedule(&key, &schedule);
-        pool.insert(histograms_key, Arc::new(windows));
+        pool.windows.insert(histograms_key, windows);
         schedule
     }
 }
@@ -398,153 +400,23 @@ impl ProfileScheme {
     ///    sweep point skips the recording run and the shaker;
     /// 3. otherwise training runs in full, persisting both artifacts.
     fn plan_for(&self, ctx: &SchemeContext<'_>) -> ProfilePlan {
-        let key = artifact::training_plan_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.config,
-        );
+        let key = self.plan_key(ctx);
         if let Some(cached) = self.cache.load_training(&key) {
-            // Rebuild the cheap, deterministic phase-1 plan; the node keys it
-            // assigns match the ones the cached table was recorded under.
-            let trace = mcd_workloads::generator::generate_packed(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-            );
-            return ProfilePlan {
-                instrumentation: instrumentation_plan(&trace, &self.config),
-                table: cached.to_table(),
-                training_stats: cached.training_stats,
-            };
+            return self.cached_plan(ctx, cached);
         }
-        if self.cache.is_enabled() {
-            // Single-writer publication, lock order plan key → histograms
-            // key (mirroring the off-line scheme's schedule → histograms).
-            let _plan_lock = self.cache.lock_publication(&key);
-            if let Some(cached) = self.cache.recheck_training(&key) {
-                let trace = mcd_workloads::generator::generate_packed(
-                    &ctx.benchmark.program,
-                    &ctx.benchmark.inputs.training,
-                );
-                return ProfilePlan {
-                    instrumentation: instrumentation_plan(&trace, &self.config),
-                    table: cached.to_table(),
-                    training_stats: cached.training_stats,
-                };
-            }
-            let grid = &ctx.machine.grid;
-            let histograms_key = artifact::training_histograms_key(
-                ctx.benchmark.name,
-                &ctx.benchmark.inputs.training,
-                ctx.machine,
-                &self.config,
-            );
-            if let Some(cached) = self.cache.load_training_histograms(&histograms_key, grid) {
-                let trace = mcd_workloads::generator::generate_packed(
-                    &ctx.benchmark.program,
-                    &ctx.benchmark.inputs.training,
-                );
-                let plan = ProfilePlan {
-                    instrumentation: instrumentation_plan(&trace, &self.config),
-                    table: profile::threshold_table(&cached.entries, self.config.slowdown, grid),
-                    training_stats: cached.training_stats,
-                };
-                self.cache.store_training(
-                    &key,
-                    &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-                );
-                return plan;
-            }
-            let _histograms_lock = self.cache.lock_publication(&histograms_key);
-            if let Some(cached) = self
-                .cache
-                .recheck_training_histograms(&histograms_key, grid)
-            {
-                let trace = mcd_workloads::generator::generate_packed(
-                    &ctx.benchmark.program,
-                    &ctx.benchmark.inputs.training,
-                );
-                let plan = ProfilePlan {
-                    instrumentation: instrumentation_plan(&trace, &self.config),
-                    table: profile::threshold_table(&cached.entries, self.config.slowdown, grid),
-                    training_stats: cached.training_stats,
-                };
-                self.cache.store_training(
-                    &key,
-                    &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-                );
-                return plan;
-            }
-            let (plan, entries) = train_with_histograms(
+        if !self.cache.is_enabled() {
+            return train(
                 &ctx.benchmark.program,
                 &ctx.benchmark.inputs.training,
                 ctx.machine,
                 &self.config,
             );
-            self.cache.store_training_histograms(
-                &histograms_key,
-                &TrainingHistogramsArtifact::from_entries(entries, plan.training_stats.clone()),
-                grid,
-            );
-            self.cache.store_training(
-                &key,
-                &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-            );
-            return plan;
         }
-        let plan = train(
-            &ctx.benchmark.program,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.config,
-        );
-        self.cache.store_training(
-            &key,
-            &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-        );
-        plan
-    }
-
-    /// [`ProfileScheme::plan_for`] with an additional in-memory pool shared
-    /// across the members of one batch: members whose configs differ only in
-    /// the slowdown target share one recording run, shaker pass, and
-    /// instrumentation plan even when the on-disk cache is disabled. The
-    /// resulting plans are bit-identical to [`ProfileScheme::plan_for`]'s.
-    pub(crate) fn plan_for_batched(
-        &self,
-        ctx: &SchemeContext<'_>,
-        pool: &mut HashMap<ArtifactKey, SharedTraining>,
-    ) -> ProfilePlan {
-        let key = artifact::training_plan_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.config,
-        );
-        if let Some(cached) = self.cache.load_training(&key) {
-            let trace = mcd_workloads::generator::generate_packed(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-            );
-            return ProfilePlan {
-                instrumentation: instrumentation_plan(&trace, &self.config),
-                table: cached.to_table(),
-                training_stats: cached.training_stats,
-            };
-        }
-        // Single-writer publication, same plan → histograms lock order as
-        // `plan_for`. A disabled cache yields `None` guards and no-op stores.
+        // Single-writer publication, lock order plan key → histograms key
+        // (mirroring the off-line scheme's schedule → histograms).
         let _plan_lock = self.cache.lock_publication(&key);
         if let Some(cached) = self.cache.recheck_training(&key) {
-            let trace = mcd_workloads::generator::generate_packed(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-            );
-            return ProfilePlan {
-                instrumentation: instrumentation_plan(&trace, &self.config),
-                table: cached.to_table(),
-                training_stats: cached.training_stats,
-            };
+            return self.cached_plan(ctx, cached);
         }
         let grid = &ctx.machine.grid;
         let histograms_key = artifact::training_histograms_key(
@@ -553,71 +425,15 @@ impl ProfileScheme {
             ctx.machine,
             &self.config,
         );
-        if let Some(shared) = pool.get(&histograms_key) {
-            let plan = ProfilePlan {
-                instrumentation: shared.instrumentation.clone(),
-                table: profile::threshold_table(
-                    &shared.artifact.entries,
-                    self.config.slowdown,
-                    grid,
-                ),
-                training_stats: shared.artifact.training_stats.clone(),
-            };
-            self.cache.store_training(
-                &key,
-                &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-            );
-            return plan;
-        }
-        if let Some(artifact) = self.cache.load_training_histograms(&histograms_key, grid) {
-            let trace = mcd_workloads::generator::generate_packed(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-            );
-            let plan = ProfilePlan {
-                instrumentation: instrumentation_plan(&trace, &self.config),
-                table: profile::threshold_table(&artifact.entries, self.config.slowdown, grid),
-                training_stats: artifact.training_stats.clone(),
-            };
-            pool.insert(
-                histograms_key,
-                SharedTraining {
-                    instrumentation: plan.instrumentation.clone(),
-                    artifact: Arc::new(artifact),
-                },
-            );
-            self.cache.store_training(
-                &key,
-                &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-            );
-            return plan;
+        if let Some(cached) = self.cache.load_training_histograms(&histograms_key, grid) {
+            return self.thresholded_plan(ctx, &key, self.instrumentation(ctx), &cached);
         }
         let _histograms_lock = self.cache.lock_publication(&histograms_key);
-        if let Some(artifact) = self
+        if let Some(cached) = self
             .cache
             .recheck_training_histograms(&histograms_key, grid)
         {
-            let trace = mcd_workloads::generator::generate_packed(
-                &ctx.benchmark.program,
-                &ctx.benchmark.inputs.training,
-            );
-            let plan = ProfilePlan {
-                instrumentation: instrumentation_plan(&trace, &self.config),
-                table: profile::threshold_table(&artifact.entries, self.config.slowdown, grid),
-                training_stats: artifact.training_stats.clone(),
-            };
-            pool.insert(
-                histograms_key,
-                SharedTraining {
-                    instrumentation: plan.instrumentation.clone(),
-                    artifact: Arc::new(artifact),
-                },
-            );
-            self.cache.store_training(
-                &key,
-                &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
-            );
-            return plan;
+            return self.thresholded_plan(ctx, &key, self.instrumentation(ctx), &cached);
         }
         let (plan, entries) = train_with_histograms(
             &ctx.benchmark.program,
@@ -625,32 +441,96 @@ impl ProfileScheme {
             ctx.machine,
             &self.config,
         );
-        let artifact =
-            TrainingHistogramsArtifact::from_entries(entries, plan.training_stats.clone());
-        self.cache
-            .store_training_histograms(&histograms_key, &artifact, grid);
+        self.cache.store_training_histograms(
+            &histograms_key,
+            &TrainingHistogramsArtifact::from_entries(entries, plan.training_stats.clone()),
+            grid,
+        );
         self.cache.store_training(
             &key,
             &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
         );
-        pool.insert(
-            histograms_key,
-            SharedTraining {
-                instrumentation: plan.instrumentation.clone(),
-                artifact: Arc::new(artifact),
-            },
+        plan
+    }
+
+    /// [`ProfileScheme::plan_for`] drawing the recording run, the shaker and
+    /// the instrumentation plan from the batch's training pool, which the
+    /// learned scheme shares: members whose configs differ only in the
+    /// slowdown target train once even when the on-disk cache is disabled.
+    /// The resulting plans are bit-identical to [`ProfileScheme::plan_for`]'s.
+    fn plan_for_batched(&self, ctx: &SchemeContext<'_>, pool: &mut BatchPool) -> ProfilePlan {
+        let key = self.plan_key(ctx);
+        if let Some(cached) = self.cache.load_training(&key) {
+            return self.cached_plan(ctx, cached);
+        }
+        // Same plan → histograms lock order as `plan_for` (the pool takes the
+        // histograms lock). A disabled cache yields `None` guards and no-op
+        // stores.
+        let _plan_lock = self.cache.lock_publication(&key);
+        if let Some(cached) = self.cache.recheck_training(&key) {
+            return self.cached_plan(ctx, cached);
+        }
+        let training = pool.training(ctx, &self.config, &self.cache);
+        let instrumentation = training
+            .instrumentation
+            .get_or_insert_with(|| self.instrumentation(ctx))
+            .clone();
+        self.thresholded_plan(ctx, &key, instrumentation, &training.artifact)
+    }
+
+    fn plan_key(&self, ctx: &SchemeContext<'_>) -> ArtifactKey {
+        artifact::training_plan_key(
+            ctx.benchmark.name,
+            &ctx.benchmark.inputs.training,
+            ctx.machine,
+            &self.config,
+        )
+    }
+
+    /// Rebuilds the cheap, deterministic phase-1 plan on the training input;
+    /// the node keys it assigns match the ones cached tables were recorded
+    /// under.
+    fn instrumentation(&self, ctx: &SchemeContext<'_>) -> InstrumentationPlan {
+        let trace = mcd_workloads::generator::generate_packed(
+            &ctx.benchmark.program,
+            &ctx.benchmark.inputs.training,
+        );
+        instrumentation_plan(&trace, &self.config)
+    }
+
+    /// The plan around a cached frequency table.
+    fn cached_plan(&self, ctx: &SchemeContext<'_>, cached: TrainingArtifact) -> ProfilePlan {
+        ProfilePlan {
+            instrumentation: self.instrumentation(ctx),
+            table: cached.to_table(),
+            training_stats: cached.training_stats,
+        }
+    }
+
+    /// Thresholds training histograms into this config's plan and publishes
+    /// its frequency table under `key`.
+    fn thresholded_plan(
+        &self,
+        ctx: &SchemeContext<'_>,
+        key: &ArtifactKey,
+        instrumentation: InstrumentationPlan,
+        histograms: &TrainingHistogramsArtifact,
+    ) -> ProfilePlan {
+        let plan = ProfilePlan {
+            instrumentation,
+            table: profile::threshold_table(
+                &histograms.entries,
+                self.config.slowdown,
+                &ctx.machine.grid,
+            ),
+            training_stats: histograms.training_stats.clone(),
+        };
+        self.cache.store_training(
+            key,
+            &TrainingArtifact::from_table(&plan.table, plan.training_stats.clone()),
         );
         plan
     }
-}
-
-/// One batch's in-memory share of profile training: the (slowdown-free)
-/// histograms artifact plus the instrumentation plan, both identical for
-/// every batch member whose `training_histograms_key` matches.
-#[derive(Debug, Clone)]
-pub(crate) struct SharedTraining {
-    pub(crate) instrumentation: mcd_profiling::edit::InstrumentationPlan,
-    pub(crate) artifact: Arc<TrainingHistogramsArtifact>,
 }
 
 impl DvfsScheme for ProfileScheme {
@@ -811,80 +691,16 @@ impl Default for LearnedScheme {
 }
 
 impl LearnedScheme {
-    /// Obtains the trained lookup table: a cached histograms artifact rebuilds
-    /// the table in microseconds; otherwise the profile pipeline's recording
-    /// run captures the histograms (publishing them for the profile scheme to
-    /// reuse) and the table is trained from the fresh capture. The table is
-    /// always built from the artifact's canonicalized entry order, so cached
-    /// and freshly-recorded tables are bit-identical.
-    fn table_for(&self, ctx: &SchemeContext<'_>) -> LearnedTable {
-        let grid = &ctx.machine.grid;
-        let key = artifact::training_histograms_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.training,
-        );
-        if let Some(cached) = self.cache.load_training_histograms(&key, grid) {
-            return LearnedTable::from_training(&cached.entries, &self.config, grid);
-        }
-        // Single-writer publication on the shared histograms key (no-op
-        // guards for a disabled cache), mirroring the profile scheme.
-        let _lock = self.cache.lock_publication(&key);
-        if let Some(cached) = self.cache.recheck_training_histograms(&key, grid) {
-            return LearnedTable::from_training(&cached.entries, &self.config, grid);
-        }
-        let (plan, entries) = train_with_histograms(
-            &ctx.benchmark.program,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.training,
-        );
-        let artifact = TrainingHistogramsArtifact::from_entries(entries, plan.training_stats);
-        self.cache.store_training_histograms(&key, &artifact, grid);
-        LearnedTable::from_training(&artifact.entries, &self.config, grid)
-    }
-
-    /// [`LearnedScheme::table_for`] with an in-memory pool shared across the
-    /// members of one batch, so members sharing a `training_histograms_key`
-    /// pay for at most one recording run even with the cache disabled.
-    pub(crate) fn table_for_batched(
-        &self,
-        ctx: &SchemeContext<'_>,
-        pool: &mut HashMap<ArtifactKey, Arc<TrainingHistogramsArtifact>>,
-    ) -> LearnedTable {
-        let grid = &ctx.machine.grid;
-        let key = artifact::training_histograms_key(
-            ctx.benchmark.name,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.training,
-        );
-        if let Some(shared) = pool.get(&key) {
-            return LearnedTable::from_training(&shared.entries, &self.config, grid);
-        }
-        if let Some(cached) = self.cache.load_training_histograms(&key, grid) {
-            let table = LearnedTable::from_training(&cached.entries, &self.config, grid);
-            pool.insert(key, Arc::new(cached));
-            return table;
-        }
-        let _lock = self.cache.lock_publication(&key);
-        if let Some(cached) = self.cache.recheck_training_histograms(&key, grid) {
-            let table = LearnedTable::from_training(&cached.entries, &self.config, grid);
-            pool.insert(key, Arc::new(cached));
-            return table;
-        }
-        let (plan, entries) = train_with_histograms(
-            &ctx.benchmark.program,
-            &ctx.benchmark.inputs.training,
-            ctx.machine,
-            &self.training,
-        );
-        let artifact = TrainingHistogramsArtifact::from_entries(entries, plan.training_stats);
-        self.cache.store_training_histograms(&key, &artifact, grid);
-        let table = LearnedTable::from_training(&artifact.entries, &self.config, grid);
-        pool.insert(key, Arc::new(artifact));
-        table
+    /// Obtains the trained lookup table from the training `pool`'s entry for
+    /// this benchmark, which the profile scheme shares: a cached histograms
+    /// artifact rebuilds the table in microseconds; otherwise the profile
+    /// pipeline's recording run captures the histograms (publishing them for
+    /// the profile scheme to reuse). The table is always built from the
+    /// artifact's canonicalized entry order, so cached and freshly-recorded
+    /// tables are bit-identical. A lone run passes an empty pool.
+    fn table_for(&self, ctx: &SchemeContext<'_>, pool: &mut BatchPool) -> LearnedTable {
+        let training = pool.training(ctx, &self.training, &self.cache);
+        LearnedTable::from_training(&training.artifact.entries, &self.config, &ctx.machine.grid)
     }
 }
 
@@ -901,13 +717,146 @@ impl DvfsScheme for LearnedScheme {
     }
 
     fn run(&self, ctx: &SchemeContext<'_>) -> Result<SimStats, McdError> {
-        let table = self.table_for(ctx);
+        let table = self.table_for(ctx, &mut BatchPool::default());
         let mut policy = LearnedPolicy::new(&self.config, table);
         Ok(ctx.simulate(&mut policy))
     }
 
     fn as_any(&self) -> Option<&dyn Any> {
         Some(self)
+    }
+}
+
+/// The in-memory artifacts the members of one batch share, keyed like their
+/// cache artifacts (without the slowdown target), so a batch pays for each
+/// capture and each training run at most once even with the artifact cache
+/// disabled. The evaluator drops the pool before the batch's trace pass.
+#[derive(Debug, Default)]
+pub(crate) struct BatchPool {
+    /// Off-line capture histograms, by `window_histograms_key`.
+    windows: HashMap<ArtifactKey, Vec<Option<RegionHistograms>>>,
+    /// Profile training, by `training_histograms_key`; the profile and the
+    /// learned schemes draw on the same entry.
+    pub(crate) training: HashMap<ArtifactKey, SharedTraining>,
+}
+
+/// One batch's share of profile training: the (slowdown-free) histograms
+/// artifact plus the instrumentation plan, both identical for every scheme
+/// whose `training_histograms_key` matches.
+#[derive(Debug)]
+pub(crate) struct SharedTraining {
+    /// Kept from the recording run; built on first use when the histograms
+    /// came from the artifact cache.
+    instrumentation: Option<InstrumentationPlan>,
+    pub(crate) artifact: Arc<TrainingHistogramsArtifact>,
+}
+
+impl BatchPool {
+    /// The pool's training for `config` on `ctx`'s benchmark: pooled, else
+    /// loaded from the artifact cache, else one recording run whose
+    /// histograms are published under the single-writer protocol.
+    fn training(
+        &mut self,
+        ctx: &SchemeContext<'_>,
+        config: &TrainingConfig,
+        cache: &ArtifactCache,
+    ) -> &mut SharedTraining {
+        let key = artifact::training_histograms_key(
+            ctx.benchmark.name,
+            &ctx.benchmark.inputs.training,
+            ctx.machine,
+            config,
+        );
+        self.training.entry(key).or_insert_with(|| {
+            let grid = &ctx.machine.grid;
+            let loaded = |artifact| SharedTraining {
+                instrumentation: None,
+                artifact: Arc::new(artifact),
+            };
+            if let Some(cached) = cache.load_training_histograms(&key, grid) {
+                return loaded(cached);
+            }
+            let _lock = cache.lock_publication(&key);
+            if let Some(cached) = cache.recheck_training_histograms(&key, grid) {
+                return loaded(cached);
+            }
+            let (plan, entries) = train_with_histograms(
+                &ctx.benchmark.program,
+                &ctx.benchmark.inputs.training,
+                ctx.machine,
+                config,
+            );
+            let artifact = TrainingHistogramsArtifact::from_entries(entries, plan.training_stats);
+            cache.store_training_histograms(&key, &artifact, grid);
+            SharedTraining {
+                instrumentation: Some(plan.instrumentation),
+                artifact: Arc::new(artifact),
+            }
+        })
+    }
+}
+
+/// One scheme's lane in a batch's trace pass, prepared before the pass.
+pub(crate) enum Lane {
+    /// The off-line oracle's schedule and its window length.
+    Schedule(OfflineSchedule, u64),
+    /// The profile scheme's trained plan.
+    Plan(Box<ProfilePlan>),
+    /// A controller that is its own hooks: on-line, PID, SysScale or the
+    /// learned table.
+    Controller(Box<dyn SimHooks>),
+}
+
+impl Lane {
+    /// Prepares `scheme`'s lane on `ctx` as the scheme's own `run` would,
+    /// drawing capture and training from `pool`. `None` for a scheme without
+    /// a lane — global DVS, which needs another scheme's outcome — which then
+    /// runs on its own after the pass.
+    pub(crate) fn prepare(
+        scheme: &dyn DvfsScheme,
+        ctx: &SchemeContext<'_>,
+        simulator: &Simulator,
+        pool: &mut BatchPool,
+    ) -> Option<Lane> {
+        let scheme = scheme.as_any()?;
+        if let Some(offline) = scheme.downcast_ref::<OfflineScheme>() {
+            let schedule = offline.schedule_for_batched(ctx, simulator, pool);
+            let window = offline.config.window_instructions.max(1);
+            return Some(Lane::Schedule(schedule, window));
+        }
+        if let Some(profile) = scheme.downcast_ref::<ProfileScheme>() {
+            return Some(Lane::Plan(Box::new(profile.plan_for_batched(ctx, pool))));
+        }
+        // A fresh controller per lane, as in each scheme's `run`.
+        let controller: Box<dyn SimHooks> =
+            if let Some(online) = scheme.downcast_ref::<OnlineScheme>() {
+                Box::new(OnlineController::new(online.config))
+            } else if let Some(pid) = scheme.downcast_ref::<PidScheme>() {
+                Box::new(PidController::new(pid.config))
+            } else if let Some(sysscale) = scheme.downcast_ref::<SysScaleScheme>() {
+                Box::new(SysScaleController::new(
+                    sysscale.config,
+                    ctx.machine.grid.clone(),
+                    ctx.machine.voltage_map.clone(),
+                ))
+            } else {
+                let learned = scheme.downcast_ref::<LearnedScheme>()?;
+                Box::new(LearnedPolicy::new(
+                    &learned.config,
+                    learned.table_for(ctx, pool),
+                ))
+            };
+        Some(Lane::Controller(controller))
+    }
+
+    /// The hooks that drive this lane through the pass. A controller lane
+    /// hands its controller over, so each lane yields its hooks once.
+    pub(crate) fn hooks(&mut self) -> Box<dyn SimHooks + '_> {
+        match self {
+            Lane::Schedule(schedule, window) => Box::new(ScheduleHooks::new(schedule, *window)),
+            Lane::Plan(plan) => Box::new(plan.hooks()),
+            Lane::Controller(controller) => std::mem::replace(controller, Box::new(NullHooks)),
+        }
     }
 }
 

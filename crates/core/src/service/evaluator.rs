@@ -1,24 +1,12 @@
 //! The long-lived evaluation service: worker pool, baseline memo, submission.
 
-use crate::artifact::{ArtifactKey, TrainingHistogramsArtifact};
 use crate::error::McdError;
-use crate::evaluation::{BenchmarkEvaluation, EvaluationConfig, SchemeResult};
+use crate::evaluation::{BenchmarkEvaluation, EvaluationConfig};
 use crate::fault::{FaultPlan, FaultSite, InjectedPanic};
-use crate::histogram::RegionHistograms;
-use crate::learned::LearnedPolicy;
-use crate::offline::OfflineSchedule;
-use crate::online::OnlineController;
-use crate::pid::PidController;
-use crate::pipeline::schedule::ScheduleHooks;
-use crate::profile::{ProfileHooks, ProfilePlan};
-use crate::scheme::{
-    names, DvfsScheme, LearnedScheme, OfflineScheme, OnlineScheme, PidScheme, ProfileScheme,
-    SchemeContext, SchemeOutcome, SharedTraining, SysScaleScheme,
-};
+use crate::scheme::{BatchPool, DvfsScheme, Lane, SchemeContext};
 use crate::service::job::{EvalBatch, EvalJob, JobId};
 use crate::service::scheduler::{PushOutcome, ShardedScheduler, TokenBucket};
 use crate::service::stream::{EvalEvent, ResultStream};
-use crate::sysscale::SysScaleController;
 use mcd_sim::config::MachineConfig;
 use mcd_sim::fingerprint::{Fingerprint, Fnv1a};
 use mcd_sim::simulator::{NullHooks, SimHooks, Simulator};
@@ -149,19 +137,21 @@ struct BaselineArtifacts {
 ///
 /// After a cold 10-point batch over one benchmark running offline + profile,
 /// expect `groups == 1`, `members == 10`, `baselines_computed == 1`,
-/// `baselines_reused == 9`, `passes == 2` (one per scheme family) and
-/// `lanes == 20` — every number a `submit_all` sweep would have paid per job.
+/// `baselines_reused == 9`, `passes == 1` (every lane of the batch rides one
+/// trace pass) and `lanes == 20` — every number a `submit_all` sweep would
+/// have paid per job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Batch groups processed.
     pub groups: u64,
     /// Member jobs across those groups.
     pub members: u64,
-    /// Batches whose first member computed the shared baseline.
+    /// Batches whose first member with a valid registry computed the shared
+    /// baseline.
     pub baselines_computed: u64,
     /// Members served by a baseline another job (or batch member) computed.
     pub baselines_reused: u64,
-    /// Batched simulation passes (one per scheme family with ≥ 1 lane).
+    /// Batched simulation passes: one per batch with at least one lane.
     pub passes: u64,
     /// Configuration lanes across those passes.
     pub lanes: u64,
@@ -689,11 +679,12 @@ impl Evaluator {
     }
 
     /// Submits a validated [`EvalBatch`]: the whole group goes to one worker,
-    /// which pays for the shared baseline once and runs the members as
-    /// parallel configuration lanes of batched simulation passes (one trace
-    /// pass per scheme family). Events, ordering guarantees, and per-member
-    /// results are exactly those of [`submit_all`](Evaluator::submit_all)
-    /// with the same jobs — batching only changes wall-clock time, counted in
+    /// which pays for the shared baseline once and runs every scheme of every
+    /// member as a configuration lane of a single batched trace pass (global
+    /// DVS, which matches another scheme's outcome, runs on its own after
+    /// it). Events, ordering guarantees, and per-member results are exactly
+    /// those of [`submit_all`](Evaluator::submit_all) with the same jobs —
+    /// batching only changes wall-clock time, counted in
     /// [`batch_stats`](Evaluator::batch_stats).
     pub fn submit_batch(&self, batch: EvalBatch) -> ResultStream {
         let (stream, _) = self.submit_batch_inner(batch, false);
@@ -969,40 +960,56 @@ fn process_job(shared: &Shared, queued: QueuedJob) {
     let QueuedJob {
         id, job, events, ..
     } = queued;
-    let benchmark_name = job.benchmark().name.to_string();
     let config = job.effective_config(&shared.config, shared.window_parallelism);
 
     // Validate the registry before paying for the baseline: a job with an
     // unknown scheme fails fast and never touches the memo.
     let registry = match job.build_registry(&config) {
         Ok(registry) => registry,
-        Err(error) => {
-            let _ = events.send(EvalEvent::JobFailed {
-                job: id,
-                benchmark: benchmark_name,
-                error,
-            });
-            return;
-        }
+        Err(error) => return send_failure(&events, id, job.benchmark(), error),
     };
 
     let (artifacts, memo_hit) = shared.baseline_for(job.benchmark(), &config.machine);
     let _ = events.send(EvalEvent::BaselineReady {
         job: id,
-        benchmark: benchmark_name.clone(),
+        benchmark: job.benchmark().name.to_string(),
         memo_hit,
     });
-
-    let outcome = crate::evaluation::run_schemes(
+    complete_job(
+        id,
         job.benchmark(),
-        &config.machine,
+        &events,
         &registry,
+        &config.machine,
+        &artifacts,
+        |_| None,
+    );
+}
+
+/// Runs `registry` to its outcomes, streaming one `SchemeFinished` per scheme
+/// and then the job's terminal event (its very last action). `simulated(i)`
+/// yields scheme `i`'s statistics when a batch pass already ran its lane;
+/// otherwise the scheme runs here.
+fn complete_job(
+    id: JobId,
+    benchmark: &Benchmark,
+    events: &mpsc::Sender<EvalEvent>,
+    registry: &[Box<dyn DvfsScheme>],
+    machine: &MachineConfig,
+    artifacts: &BaselineArtifacts,
+    simulated: impl FnMut(usize) -> Option<SimStats>,
+) {
+    let outcome = crate::evaluation::run_schemes(
+        benchmark,
+        machine,
+        registry,
         &artifacts.trace,
         &artifacts.baseline,
+        simulated,
         |outcome| {
             let _ = events.send(EvalEvent::SchemeFinished {
                 job: id,
-                benchmark: benchmark_name.clone(),
+                benchmark: benchmark.name.to_string(),
                 outcome: outcome.clone(),
             });
         },
@@ -1012,84 +1019,61 @@ fn process_job(shared: &Shared, queued: QueuedJob) {
             let _ = events.send(EvalEvent::JobCompleted {
                 job: id,
                 evaluation: BenchmarkEvaluation {
-                    name: benchmark_name,
+                    name: benchmark.name.to_string(),
                     baseline: artifacts.baseline.clone(),
                     schemes,
                 },
             });
         }
-        Err(error) => {
-            let _ = events.send(EvalEvent::JobFailed {
-                job: id,
-                benchmark: benchmark_name,
-                error,
-            });
-        }
+        Err(error) => send_failure(events, id, benchmark, error),
     }
 }
 
-/// One member of a batch while the batch is being processed: its registry,
-/// the outcomes accumulated so far (in registry order, exactly as
-/// [`process_job`] would produce them), and whether it has already failed.
+fn send_failure(
+    events: &mpsc::Sender<EvalEvent>,
+    id: JobId,
+    benchmark: &Benchmark,
+    error: McdError,
+) {
+    let _ = events.send(EvalEvent::JobFailed {
+        job: id,
+        benchmark: benchmark.name.to_string(),
+        error,
+    });
+}
+
+/// A batch member whose lanes made it into the batch's pass.
 struct BatchMember {
     id: JobId,
-    benchmark_name: String,
-    events: mpsc::Sender<EvalEvent>,
     job: EvalJob,
+    events: mpsc::Sender<EvalEvent>,
     registry: Vec<Box<dyn DvfsScheme>>,
-    outcomes: Vec<SchemeOutcome>,
-    failed: bool,
-    /// Set when this member's terminal event goes out; the worker's
-    /// `catch_unwind` backstop fails only members whose flag is still unset.
+    /// Per scheme, in registry order: its lane's index in the pass, or `None`
+    /// for a scheme that runs on its own after the pass.
+    slots: Vec<Option<usize>>,
     terminal_sent: Arc<AtomicBool>,
 }
 
-impl BatchMember {
-    fn fail(&mut self, error: McdError) {
-        self.failed = true;
-        self.terminal_sent.store(true, Ordering::Relaxed);
-        let _ = self.events.send(EvalEvent::JobFailed {
-            job: self.id,
-            benchmark: self.benchmark_name.clone(),
-            error,
-        });
-    }
-
-    fn record(&mut self, outcome: SchemeOutcome) {
-        let _ = self.events.send(EvalEvent::SchemeFinished {
-            job: self.id,
-            benchmark: self.benchmark_name.clone(),
-            outcome: outcome.clone(),
-        });
-        self.outcomes.push(outcome);
-    }
-
-    fn context<'a>(
-        &'a self,
-        machine: &'a MachineConfig,
-        artifacts: &'a BaselineArtifacts,
-    ) -> SchemeContext<'a> {
-        SchemeContext {
-            benchmark: self.job.benchmark(),
-            machine,
-            reference_trace: &artifacts.trace,
-            baseline: &artifacts.baseline,
-            prior: &self.outcomes,
-        }
-    }
-}
-
-/// Runs one batch end to end on this worker. Per member the event sequence,
-/// registry order, and statistics are exactly those of [`process_job`]; the
-/// batch differs only in *how* the work is executed — one baseline lookup,
-/// one capture/training pass per shared histogram key, and one batched
-/// multi-lane simulation pass per scheme family. Failures are isolated: a
-/// member whose scheme errors emits its `JobFailed` and drops out; the rest
-/// of the batch continues. The same holds for an injected worker panic,
-/// drawn once per member: the panicking member fails with
-/// [`McdError::Fault`] and the batch carries on without it. `flags` are the
-/// per-member terminal markers (parallel to `queued`) the worker's panic
-/// backstop reads.
+/// Runs one batch end to end on this worker, in three steps:
+///
+/// 1. **Prepare**, member by member: build the registry, obtain the batch's
+///    one baseline, and prepare a lane per scheme in registry order — the
+///    off-line schedule, the profile plan, the learned table, and fresh
+///    on-line, PID and SysScale controllers. Capture and training come from
+///    one batch-wide pool, so members that differ only in their slowdown
+///    target, and the profile and learned schemes, share them.
+/// 2. **Run** every lane of every member in a single batched trace pass.
+/// 3. **Record** each member's outcomes in registry order, running the
+///    schemes without a lane (global DVS, which matches another scheme's
+///    outcome) on their own, then its terminal event.
+///
+/// Lanes do not affect each other, so per member the event sequence and the
+/// statistics are exactly those of [`process_job`]. Failures are isolated: a
+/// member whose registry is invalid or whose preparation panics — the
+/// injected worker panic is drawn once per member, just before its lanes are
+/// prepared — fails alone and contributes no lanes; a scheme error or panic
+/// while recording fails only its member. `flags` are the per-member terminal
+/// markers (parallel to `queued`) the worker's panic backstop reads.
 fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, flags: &[Arc<AtomicBool>]) {
     if queued.is_empty() {
         return;
@@ -1099,10 +1083,14 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, flags: &[Arc<AtomicBoo
         .batch_members
         .fetch_add(queued.len() as u64, Ordering::Relaxed);
 
-    // Validate every member's registry before paying for the baseline. The
-    // per-member injection point lives here too, under its own
-    // `catch_unwind`, giving batches genuinely member-granular panic
-    // isolation on this path.
+    // Jobs cannot override the machine, and EvalJob::batch guaranteed a
+    // single benchmark: one baseline serves the whole batch, obtained by the
+    // first member whose registry is valid.
+    let machine = &shared.config.machine;
+    let simulator = Simulator::new(machine.clone());
+    let mut baseline: Option<Arc<BaselineArtifacts>> = None;
+    let mut pool = BatchPool::default();
+    let mut lanes: Vec<Lane> = Vec::new();
     let mut members: Vec<BatchMember> = Vec::with_capacity(queued.len());
     for (
         QueuedJob {
@@ -1111,356 +1099,117 @@ fn process_batch(shared: &Shared, queued: Vec<QueuedJob>, flags: &[Arc<AtomicBoo
         terminal_sent,
     ) in queued.into_iter().zip(flags)
     {
-        let benchmark_name = job.benchmark().name.to_string();
-        let config = job.effective_config(&shared.config, shared.window_parallelism);
-        let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let prepared = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let config = job.effective_config(&shared.config, shared.window_parallelism);
+            let registry = job.build_registry(&config)?;
+            let memo_hit = baseline.is_some() || {
+                let (artifacts, memo_hit) = shared.baseline_for(job.benchmark(), machine);
+                baseline = Some(artifacts);
+                memo_hit
+            };
+            let counter = if memo_hit {
+                &shared.batch_baselines_reused
+            } else {
+                &shared.batch_baselines_computed
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            let _ = events.send(EvalEvent::BaselineReady {
+                job: id,
+                benchmark: job.benchmark().name.to_string(),
+                memo_hit,
+            });
             if shared.faults.should(FaultSite::WorkerPanic) {
                 std::panic::panic_any(InjectedPanic);
             }
-            job.build_registry(&config)
+            let artifacts = baseline.as_deref().expect("obtained above");
+            let ctx = SchemeContext {
+                benchmark: job.benchmark(),
+                machine,
+                reference_trace: &artifacts.trace,
+                baseline: &artifacts.baseline,
+                prior: &[],
+            };
+            let prepared: Vec<Option<Lane>> = registry
+                .iter()
+                .map(|scheme| Lane::prepare(scheme.as_ref(), &ctx, &simulator, &mut pool))
+                .collect();
+            Ok((registry, prepared))
         }));
-        match built {
-            Ok(Ok(registry)) => members.push(BatchMember {
-                id,
-                benchmark_name,
-                events,
-                job,
-                registry,
-                outcomes: Vec::new(),
-                failed: false,
-                terminal_sent: Arc::clone(terminal_sent),
-            }),
-            Ok(Err(error)) => {
-                terminal_sent.store(true, Ordering::Relaxed);
-                let _ = events.send(EvalEvent::JobFailed {
-                    job: id,
-                    benchmark: benchmark_name,
-                    error,
+        let error = match prepared {
+            Ok(Ok((registry, prepared))) => {
+                let slots = prepared
+                    .into_iter()
+                    .map(|lane| {
+                        lane.map(|lane| {
+                            lanes.push(lane);
+                            lanes.len() - 1
+                        })
+                    })
+                    .collect();
+                members.push(BatchMember {
+                    id,
+                    job,
+                    events,
+                    registry,
+                    slots,
+                    terminal_sent: Arc::clone(terminal_sent),
                 });
+                continue;
             }
-            Err(payload) => {
-                terminal_sent.store(true, Ordering::Relaxed);
-                let _ = events.send(EvalEvent::JobFailed {
-                    job: id,
-                    benchmark: benchmark_name,
-                    error: panic_error(payload),
-                });
-            }
-        }
+            Ok(Err(error)) => error,
+            Err(payload) => panic_error(payload),
+        };
+        terminal_sent.store(true, Ordering::Relaxed);
+        send_failure(&events, id, job.benchmark(), error);
     }
-    if members.is_empty() {
+    // The capture and training pools are spent: free them before the pass.
+    drop(pool);
+    let Some(artifacts) = baseline else {
         return;
-    }
+    };
 
-    // One baseline serves the whole batch: jobs cannot override the machine,
-    // and EvalJob::batch guaranteed a single benchmark.
-    let machine = shared.config.machine.clone();
-    let (artifacts, memo_hit) = shared.baseline_for(members[0].job.benchmark(), &machine);
-    if memo_hit {
-        shared
-            .batch_baselines_reused
-            .fetch_add(members.len() as u64, Ordering::Relaxed);
+    let mut stats = if lanes.is_empty() {
+        Vec::new()
     } else {
+        shared.batch_passes.fetch_add(1, Ordering::Relaxed);
         shared
-            .batch_baselines_computed
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .batch_baselines_reused
-            .fetch_add(members.len() as u64 - 1, Ordering::Relaxed);
-    }
-    for (i, member) in members.iter().enumerate() {
-        let _ = member.events.send(EvalEvent::BaselineReady {
-            job: member.id,
-            benchmark: member.benchmark_name.clone(),
-            // Members after the first share the baseline the batch obtained.
-            memo_hit: memo_hit || i > 0,
-        });
-    }
-
-    // Scheme families run in standard registry order so a member's `global`
-    // finds its matched scheme among the member's prior outcomes, exactly as
-    // in a serial run. (Subset registries preserve that order too.)
-    for family in [
-        names::OFFLINE,
-        names::ONLINE,
-        names::PROFILE,
-        names::PID,
-        names::SYSSCALE,
-        names::LEARNED,
-        names::GLOBAL,
-    ] {
-        run_batch_family(shared, &mut members, family, &machine, &artifacts);
-    }
+            .batch_lanes
+            .fetch_add(lanes.len() as u64, Ordering::Relaxed);
+        let mut hooks: Vec<Box<dyn SimHooks + '_>> = lanes.iter_mut().map(Lane::hooks).collect();
+        let mut hooks: Vec<&mut dyn SimHooks> = hooks.iter_mut().map(|h| &mut **h as _).collect();
+        BatchedSimulator::from_simulator(simulator).run(artifacts.trace.iter(), &mut hooks)
+    };
+    drop(lanes);
 
     for member in members {
-        if member.failed {
-            continue;
+        let recorded = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            complete_job(
+                member.id,
+                member.job.benchmark(),
+                &member.events,
+                &member.registry,
+                machine,
+                &artifacts,
+                |i| member.slots[i].map(|lane| std::mem::take(&mut stats[lane])),
+            );
+        }));
+        if let Err(payload) = recorded {
+            // `complete_job` sends the terminal last, so none went out yet.
+            send_failure(
+                &member.events,
+                member.id,
+                member.job.benchmark(),
+                panic_error(payload),
+            );
         }
         member.terminal_sent.store(true, Ordering::Relaxed);
-        let _ = member.events.send(EvalEvent::JobCompleted {
-            job: member.id,
-            evaluation: BenchmarkEvaluation {
-                name: member.benchmark_name,
-                baseline: artifacts.baseline.clone(),
-                schemes: member.outcomes,
-            },
-        });
-    }
-}
-
-/// Runs one scheme family across the batch: members running the family
-/// become lanes of a single batched simulation pass where the concrete
-/// scheme supports it, and fall back to their own serial run otherwise.
-fn run_batch_family(
-    shared: &Shared,
-    members: &mut [BatchMember],
-    family: &'static str,
-    machine: &MachineConfig,
-    artifacts: &BaselineArtifacts,
-) {
-    let participating: Vec<usize> = members
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| !m.failed && m.registry.iter().any(|s| s.name() == family))
-        .map(|(i, _)| i)
-        .collect();
-    if participating.is_empty() {
-        return;
-    }
-
-    match family {
-        names::OFFLINE => {
-            // Per member: obtain the schedule (sharing capture/DAG/shaker
-            // work through the pool), then replay all schedules as lanes of
-            // one batched trace pass.
-            let simulator = Simulator::new(machine.clone());
-            let mut pool: HashMap<ArtifactKey, Arc<Vec<Option<RegionHistograms>>>> = HashMap::new();
-            let mut prepared: Vec<(usize, String, OfflineSchedule, u64)> = Vec::new();
-            for i in participating {
-                let Some(offline) = downcast_family::<OfflineScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                let offline = offline.clone();
-                let ctx = members[i].context(machine, artifacts);
-                let schedule = offline.schedule_for_batched(&ctx, &simulator, &mut pool);
-                let label = offline.label();
-                prepared.push((
-                    i,
-                    label,
-                    schedule,
-                    offline.config.window_instructions.max(1),
-                ));
-            }
-            if prepared.is_empty() {
-                return;
-            }
-            let mut hooks: Vec<ScheduleHooks<'_>> = prepared
-                .iter()
-                .map(|(_, _, schedule, window)| ScheduleHooks::new(schedule, *window))
-                .collect();
-            let stats = run_lanes(shared, machine, artifacts, &mut hooks);
-            let labeled = prepared
-                .iter()
-                .map(|(i, label, _, _)| (*i, label.clone()))
-                .collect();
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        names::ONLINE => {
-            let mut labeled: Vec<(usize, String)> = Vec::new();
-            let mut controllers: Vec<OnlineController> = Vec::new();
-            for i in participating {
-                let Some(online) = downcast_family::<OnlineScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                // A fresh controller per lane, as in OnlineScheme::run.
-                controllers.push(OnlineController::new(online.config));
-                labeled.push((i, online.label()));
-            }
-            if controllers.is_empty() {
-                return;
-            }
-            let stats = run_lanes(shared, machine, artifacts, &mut controllers);
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        names::PROFILE => {
-            let mut pool: HashMap<ArtifactKey, SharedTraining> = HashMap::new();
-            let mut prepared: Vec<(usize, String, ProfilePlan)> = Vec::new();
-            for i in participating {
-                let Some(profile) = downcast_family::<ProfileScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                let profile = profile.clone();
-                let ctx = members[i].context(machine, artifacts);
-                let plan = profile.plan_for_batched(&ctx, &mut pool);
-                prepared.push((i, profile.label(), plan));
-            }
-            if prepared.is_empty() {
-                return;
-            }
-            let mut hooks: Vec<ProfileHooks<'_>> =
-                prepared.iter().map(|(_, _, plan)| plan.hooks()).collect();
-            let stats = run_lanes(shared, machine, artifacts, &mut hooks);
-            let labeled = prepared
-                .iter()
-                .map(|(i, label, _)| (*i, label.clone()))
-                .collect();
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        names::PID => {
-            let mut labeled: Vec<(usize, String)> = Vec::new();
-            let mut controllers: Vec<PidController> = Vec::new();
-            for i in participating {
-                let Some(pid) = downcast_family::<PidScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                // A fresh controller per lane, as in PidScheme::run.
-                controllers.push(PidController::new(pid.config));
-                labeled.push((i, pid.label()));
-            }
-            if controllers.is_empty() {
-                return;
-            }
-            let stats = run_lanes(shared, machine, artifacts, &mut controllers);
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        names::SYSSCALE => {
-            let mut labeled: Vec<(usize, String)> = Vec::new();
-            let mut controllers: Vec<SysScaleController> = Vec::new();
-            for i in participating {
-                let Some(sysscale) = downcast_family::<SysScaleScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                controllers.push(SysScaleController::new(
-                    sysscale.config,
-                    machine.grid.clone(),
-                    machine.voltage_map.clone(),
-                ));
-                labeled.push((i, sysscale.label()));
-            }
-            if controllers.is_empty() {
-                return;
-            }
-            let stats = run_lanes(shared, machine, artifacts, &mut controllers);
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        names::LEARNED => {
-            // Per member: train or reload the lookup table (sharing the
-            // recording run through the pool), then play every policy as a
-            // lane of one batched trace pass.
-            let mut pool: HashMap<ArtifactKey, Arc<TrainingHistogramsArtifact>> = HashMap::new();
-            let mut labeled: Vec<(usize, String)> = Vec::new();
-            let mut policies: Vec<LearnedPolicy> = Vec::new();
-            for i in participating {
-                let Some(learned) = downcast_family::<LearnedScheme>(&members[i], family) else {
-                    run_member_serially(members, i, family, machine, artifacts);
-                    continue;
-                };
-                let learned = learned.clone();
-                let ctx = members[i].context(machine, artifacts);
-                let table = learned.table_for_batched(&ctx, &mut pool);
-                policies.push(LearnedPolicy::new(&learned.config, table));
-                labeled.push((i, learned.label()));
-            }
-            if policies.is_empty() {
-                return;
-            }
-            let stats = run_lanes(shared, machine, artifacts, &mut policies);
-            finish_lanes(members, family, artifacts, labeled, stats);
-        }
-        // Global DVS (and any future family without a batched form) depends
-        // on per-member prior outcomes; it runs serially per member.
-        _ => {
-            for i in participating {
-                run_member_serially(members, i, family, machine, artifacts);
-            }
-        }
-    }
-}
-
-/// Downcasts a member's instance of `family` to its concrete scheme type;
-/// `None` sends the member down the serial fallback.
-fn downcast_family<'a, S: 'static>(member: &'a BatchMember, family: &str) -> Option<&'a S> {
-    member
-        .registry
-        .iter()
-        .find(|s| s.name() == family)?
-        .as_any()?
-        .downcast_ref::<S>()
-}
-
-/// One batched multi-lane simulation pass over the shared reference trace.
-fn run_lanes<H: SimHooks>(
-    shared: &Shared,
-    machine: &MachineConfig,
-    artifacts: &BaselineArtifacts,
-    hooks: &mut [H],
-) -> Vec<SimStats> {
-    shared.batch_passes.fetch_add(1, Ordering::Relaxed);
-    shared
-        .batch_lanes
-        .fetch_add(hooks.len() as u64, Ordering::Relaxed);
-    let batched = BatchedSimulator::new(machine.clone());
-    let mut lanes: Vec<&mut dyn SimHooks> =
-        hooks.iter_mut().map(|h| h as &mut dyn SimHooks).collect();
-    batched.run(artifacts.trace.iter(), &mut lanes)
-}
-
-/// Turns each lane's stats into the member's `SchemeOutcome`, emitting
-/// `SchemeFinished` per member in lane order.
-fn finish_lanes(
-    members: &mut [BatchMember],
-    family: &'static str,
-    artifacts: &BaselineArtifacts,
-    labeled: Vec<(usize, String)>,
-    stats: Vec<SimStats>,
-) {
-    for ((i, label), stats) in labeled.into_iter().zip(stats) {
-        members[i].record(SchemeOutcome {
-            name: family.to_string(),
-            label,
-            result: SchemeResult::new(stats, &artifacts.baseline),
-        });
-    }
-}
-
-/// The always-correct fallback: the member runs this family exactly as
-/// [`process_job`] would, against its own context. A scheme error fails the
-/// member (and only the member).
-fn run_member_serially(
-    members: &mut [BatchMember],
-    i: usize,
-    family: &str,
-    machine: &MachineConfig,
-    artifacts: &BaselineArtifacts,
-) {
-    let result = {
-        let member = &members[i];
-        let scheme = member
-            .registry
-            .iter()
-            .find(|s| s.name() == family)
-            .expect("participating member has the scheme");
-        let ctx = member.context(machine, artifacts);
-        scheme.run(&ctx).map(|stats| SchemeOutcome {
-            name: scheme.name().to_string(),
-            label: scheme.label(),
-            result: SchemeResult::new(stats, &artifacts.baseline),
-        })
-    };
-    match result {
-        Ok(outcome) => members[i].record(outcome),
-        Err(error) => members[i].fail(error),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::TrainingHistogramsArtifact;
 
     #[test]
     fn builder_applies_the_documented_budget_split() {
@@ -1556,14 +1305,182 @@ mod tests {
         assert_eq!(stats.members, 3);
         assert_eq!(stats.baselines_computed, 1);
         assert_eq!(stats.baselines_reused, 2);
-        // offline (3 lanes), online (1), profile (3) batch; global is serial.
-        assert_eq!(stats.passes, 3);
+        // offline (3 lanes), online (1) and profile (3) share one pass;
+        // global runs on its own after it.
+        assert_eq!(stats.passes, 1);
         assert_eq!(stats.lanes, 7);
-        assert!((stats.lanes_per_pass() - 7.0 / 3.0).abs() < 1e-12);
+        assert!((stats.lanes_per_pass() - 7.0).abs() < 1e-12);
         // One member computed the memoized baseline, two reused it.
         let memo = evaluator.memo_stats();
         assert_eq!(memo.misses, 1);
         assert_eq!(memo.hits, 0);
+    }
+
+    /// Asserts that two evaluations of one job agree scheme by scheme, floats
+    /// to the bit.
+    fn assert_same_evaluation(got: &BenchmarkEvaluation, want: &BenchmarkEvaluation) {
+        assert_eq!(got.name, want.name);
+        let schemes = |e: &BenchmarkEvaluation| -> Vec<(String, String)> {
+            e.schemes
+                .iter()
+                .map(|o| (o.name.clone(), o.label.clone()))
+                .collect()
+        };
+        assert_eq!(schemes(got), schemes(want));
+        for (g, w) in got.schemes.iter().zip(&want.schemes) {
+            let (gs, ws) = (&g.result.stats, &w.result.stats);
+            assert_eq!(
+                gs.run_time.as_ns().to_bits(),
+                ws.run_time.as_ns().to_bits(),
+                "{}: run time",
+                g.name
+            );
+            assert_eq!(
+                gs.total_energy.as_units().to_bits(),
+                ws.total_energy.as_units().to_bits(),
+                "{}: energy",
+                g.name
+            );
+            assert_eq!(gs.reconfigurations, ws.reconfigurations, "{}", g.name);
+            assert_eq!(gs.sync_stalls, ws.sync_stalls, "{}", g.name);
+            assert_eq!(gs.instructions, ws.instructions, "{}", g.name);
+        }
+    }
+
+    /// Each job submitted on its own (no batching, no fault injection).
+    fn lone_results(jobs: Vec<EvalJob>) -> Vec<BenchmarkEvaluation> {
+        Evaluator::builder()
+            .build()
+            .submit_all(jobs)
+            .collect()
+            .expect("lone jobs succeed")
+    }
+
+    #[test]
+    fn one_member_full_registry_batch_is_one_pass_with_one_training_run() {
+        use crate::scheme::names;
+
+        let bench = mcd_workloads::suite::benchmark("adpcm decode").unwrap();
+        // The full registry, zoo and global included; the default config
+        // has the artifact cache disabled.
+        let job = || EvalJob::new(bench.clone()).with_zoo(true).with_global(true);
+        let evaluator = Evaluator::builder().build();
+        assert!(!evaluator.config().cache.is_enabled());
+        let batched = evaluator
+            .submit_batch(EvalJob::batch(vec![job()]).expect("one benchmark"))
+            .collect()
+            .expect("batched job succeeds");
+        assert_same_evaluation(&batched[0], &lone_results(vec![job()])[0]);
+        assert_eq!(batched[0].schemes.len(), 7);
+        let stats = evaluator.batch_stats();
+        // Six lanes in one pass; global runs after it.
+        assert_eq!((stats.passes, stats.lanes), (1, 6));
+
+        // Profile and learned prepare from one pooled training artifact.
+        let config = job().effective_config(evaluator.config(), 1);
+        let registry = job().build_registry(&config).expect("full registry");
+        let (artifacts, _) = evaluator.shared.baseline_for(&bench, &config.machine);
+        let ctx = SchemeContext {
+            benchmark: &bench,
+            machine: &config.machine,
+            reference_trace: &artifacts.trace,
+            baseline: &artifacts.baseline,
+            prior: &[],
+        };
+        let simulator = Simulator::new(config.machine.clone());
+        let mut pool = BatchPool::default();
+        let prepare = |name: &str, pool: &mut BatchPool| {
+            let scheme = registry.iter().find(|s| s.name() == name).unwrap();
+            Lane::prepare(scheme.as_ref(), &ctx, &simulator, pool).expect("a lane")
+        };
+        prepare(names::PROFILE, &mut pool);
+        let trained = Arc::clone(&pool.training.values().next().unwrap().artifact);
+        prepare(names::LEARNED, &mut pool);
+        assert_eq!(pool.training.len(), 1);
+        let pooled = &mut pool.training.values_mut().next().unwrap().artifact;
+        assert!(Arc::ptr_eq(pooled, &trained), "learned replaced the entry");
+
+        // And learned reads that entry: with its regions emptied, the learned
+        // lane no longer reproduces the batch's learned outcome.
+        *pooled = Arc::new(TrainingHistogramsArtifact {
+            entries: Vec::new(),
+            training_stats: trained.training_stats.clone(),
+        });
+        let mut lane = prepare(names::LEARNED, &mut pool);
+        let emptied = BatchedSimulator::from_simulator(simulator.clone())
+            .run(artifacts.trace.iter(), &mut [&mut *lane.hooks()]);
+        let learned = &batched[0].schemes[5];
+        assert_eq!(learned.name, names::LEARNED);
+        assert_ne!(
+            emptied[0].run_time.as_ns().to_bits(),
+            learned.result.stats.run_time.as_ns().to_bits()
+        );
+    }
+
+    #[test]
+    fn mixed_registry_members_share_one_pass_and_stream_in_registry_order() {
+        use crate::scheme::names;
+
+        let bench = mcd_workloads::suite::benchmark("adpcm decode").unwrap();
+        let jobs = || {
+            vec![
+                EvalJob::new(bench.clone())
+                    .with_slowdown(0.03)
+                    .with_schemes([names::OFFLINE]),
+                EvalJob::new(bench.clone()).with_schemes([
+                    names::ONLINE,
+                    names::PID,
+                    names::SYSSCALE,
+                ]),
+                EvalJob::new(bench.clone())
+                    .with_slowdown(0.09)
+                    .with_schemes([names::PROFILE, names::LEARNED]),
+                EvalJob::new(bench.clone())
+                    .with_slowdown(0.05)
+                    .with_zoo(true)
+                    .with_global(true),
+            ]
+        };
+        let lone = lone_results(jobs());
+
+        let evaluator = Evaluator::builder().build();
+        let stream = evaluator.submit_batch(EvalJob::batch(jobs()).expect("one benchmark"));
+        let ids = stream.jobs().to_vec();
+        let mut finished: HashMap<JobId, Vec<String>> = HashMap::new();
+        let mut completed: HashMap<JobId, BenchmarkEvaluation> = HashMap::new();
+        for event in stream {
+            match event {
+                EvalEvent::SchemeFinished { job, outcome, .. } => {
+                    assert!(!completed.contains_key(&job), "scheme after completion");
+                    finished.entry(job).or_default().push(outcome.name);
+                }
+                EvalEvent::JobCompleted { job, evaluation } => {
+                    completed.insert(job, evaluation);
+                }
+                EvalEvent::JobFailed { error, .. } => panic!("member failed: {error:?}"),
+                _ => {}
+            }
+        }
+        let registry_order = |subset: &[&str]| -> Vec<String> {
+            crate::scheme::full_registry(true, true)
+                .iter()
+                .map(|s| s.name().to_string())
+                .filter(|n| subset.is_empty() || subset.contains(&n.as_str()))
+                .collect()
+        };
+        let orders = [
+            registry_order(&[names::OFFLINE]),
+            registry_order(&[names::ONLINE, names::PID, names::SYSSCALE]),
+            registry_order(&[names::PROFILE, names::LEARNED]),
+            registry_order(&[]),
+        ];
+        for ((id, want), order) in ids.iter().zip(&lone).zip(&orders) {
+            assert_eq!(&finished[id], order, "{id}: SchemeFinished order");
+            assert_same_evaluation(&completed[id], want);
+        }
+        let stats = evaluator.batch_stats();
+        assert_eq!(stats.passes, 1);
+        assert_eq!(stats.lanes, 1 + 3 + 2 + 6);
     }
 
     #[test]
@@ -1571,32 +1488,51 @@ mod tests {
         use crate::scheme::names;
 
         let bench = mcd_workloads::suite::benchmark("adpcm decode").unwrap();
+        // An unknown scheme fails its member while the batch prepares its
+        // lanes; `global` without its matched scheme fails its member when
+        // the outcomes are recorded. Neither sinks the others.
+        let jobs = || {
+            vec![
+                EvalJob::new(bench.clone()).with_schemes([names::ONLINE]),
+                EvalJob::new(bench.clone()).with_schemes(["bogus"]),
+                EvalJob::new(bench.clone()).with_schemes([names::GLOBAL]),
+                EvalJob::new(bench.clone()).with_schemes([names::PID]),
+            ]
+        };
         let evaluator = Evaluator::builder().build();
-        // `global` without its matched scheme fails that member alone.
-        let batch = EvalJob::batch(vec![
-            EvalJob::new(bench.clone()).with_schemes([names::ONLINE]),
-            EvalJob::new(bench.clone()).with_schemes([names::GLOBAL]),
-        ])
-        .expect("one benchmark");
+        let batch = EvalJob::batch(jobs()).expect("one benchmark");
         let err = evaluator.submit_batch(batch).collect().unwrap_err();
-        assert!(matches!(err, McdError::MissingDependency { .. }));
+        assert!(matches!(err, McdError::UnknownScheme(name) if name == "bogus"));
 
-        // Per-member streaming still delivered the healthy member's result.
-        let batch = EvalJob::batch(vec![
-            EvalJob::new(bench.clone()).with_schemes([names::ONLINE]),
-            EvalJob::new(bench.clone()).with_schemes([names::GLOBAL]),
-        ])
-        .expect("one benchmark");
-        let mut completed = 0;
-        let mut failed = 0;
-        for event in evaluator.submit_batch(batch) {
+        // Per-member streaming still delivered the healthy members' results,
+        // from one pass holding only their lanes.
+        let evaluator = Evaluator::builder().build();
+        let stream = evaluator.submit_batch(EvalJob::batch(jobs()).expect("one benchmark"));
+        let ids = stream.jobs().to_vec();
+        let mut completed: HashMap<JobId, BenchmarkEvaluation> = HashMap::new();
+        let mut failed: HashMap<JobId, McdError> = HashMap::new();
+        for event in stream {
             match event {
-                EvalEvent::JobCompleted { .. } => completed += 1,
-                EvalEvent::JobFailed { .. } => failed += 1,
+                EvalEvent::JobCompleted { job, evaluation } => {
+                    completed.insert(job, evaluation);
+                }
+                EvalEvent::JobFailed { job, error, .. } => {
+                    failed.insert(job, error);
+                }
                 _ => {}
             }
         }
-        assert_eq!((completed, failed), (1, 1));
+        assert!(matches!(failed[&ids[1]], McdError::UnknownScheme(_)));
+        assert!(matches!(
+            failed[&ids[2]],
+            McdError::MissingDependency { .. }
+        ));
+        assert_eq!((completed.len(), failed.len()), (2, 2));
+        let lone = lone_results(vec![jobs().remove(0), jobs().remove(3)]);
+        assert_same_evaluation(&completed[&ids[0]], &lone[0]);
+        assert_same_evaluation(&completed[&ids[3]], &lone[1]);
+        let stats = evaluator.batch_stats();
+        assert_eq!((stats.passes, stats.lanes), (1, 2));
     }
 
     #[test]
@@ -1683,40 +1619,54 @@ mod tests {
             .workers(1)
             .faults(Arc::new(FaultPlan::new(fire_then_clean_panics(2))))
             .build();
-        let batch = EvalJob::batch(vec![
-            EvalJob::new(bench.clone()).with_schemes([names::ONLINE]),
-            EvalJob::new(bench.clone()).with_schemes([names::ONLINE]),
-            EvalJob::new(bench.clone()).with_schemes([names::ONLINE]),
-        ])
-        .expect("one benchmark");
+        // The first member draws the injected panic just before its lanes
+        // are prepared; it must contribute none of them to the pass.
+        let jobs = || {
+            vec![
+                EvalJob::new(bench.clone()).with_schemes([names::ONLINE, names::PID]),
+                EvalJob::new(bench.clone()).with_schemes([names::ONLINE]),
+                EvalJob::new(bench.clone()).with_schemes([names::SYSSCALE]),
+            ]
+        };
+        let batch = EvalJob::batch(jobs()).expect("one benchmark");
         let stream = evaluator.submit_batch(batch);
-        let jobs = stream.jobs().to_vec();
+        let jobs_ids = stream.jobs().to_vec();
         let mut terminal_by_job: HashMap<JobId, u32> = HashMap::new();
-        let mut faults = 0;
-        let mut completed = 0;
+        let mut faults = Vec::new();
+        let mut completed: HashMap<JobId, BenchmarkEvaluation> = HashMap::new();
         for event in stream {
             if event.is_terminal() {
                 *terminal_by_job.entry(event.job()).or_default() += 1;
             }
             match event {
-                EvalEvent::JobFailed { error, .. } => {
+                EvalEvent::JobFailed { job, error, .. } => {
                     assert_eq!(
                         error,
                         McdError::Fault {
                             site: FaultSite::WorkerPanic
                         }
                     );
-                    faults += 1;
+                    faults.push(job);
                 }
-                EvalEvent::JobCompleted { .. } => completed += 1,
+                EvalEvent::JobCompleted { job, evaluation } => {
+                    completed.insert(job, evaluation);
+                }
                 _ => {}
             }
         }
-        assert_eq!((faults, completed), (1, 2));
+        assert_eq!(faults, vec![jobs_ids[0]]);
+        assert_eq!(completed.len(), 2);
         // Every member reached exactly one terminal event.
-        for job in jobs {
-            assert_eq!(terminal_by_job.get(&job), Some(&1));
+        for job in &jobs_ids {
+            assert_eq!(terminal_by_job.get(job), Some(&1));
         }
+        // The survivors shared one pass of their own two lanes and match
+        // their lone results.
+        let stats = evaluator.batch_stats();
+        assert_eq!((stats.passes, stats.lanes), (1, 2));
+        let lone = lone_results(jobs().split_off(1));
+        assert_same_evaluation(&completed[&jobs_ids[1]], &lone[0]);
+        assert_same_evaluation(&completed[&jobs_ids[2]], &lone[1]);
     }
 
     #[test]

@@ -178,9 +178,10 @@ impl EvalJob {
 
     /// Groups several jobs over the *same* benchmark into an [`EvalBatch`]
     /// for [`Evaluator::submit_batch`](crate::service::Evaluator::submit_batch):
-    /// the whole group is processed by one worker in batched simulation
-    /// passes (one baseline lookup, N configuration lanes per trace pass)
-    /// instead of N independent jobs. Results are bit-identical either way.
+    /// the whole group is processed by one worker in a single batched
+    /// simulation pass (one baseline lookup, one trace pass carrying a lane
+    /// per scheme of every member) instead of N independent jobs. Results
+    /// are bit-identical either way.
     ///
     /// Fails with [`McdError::InvalidConfig`] if `jobs` is empty or the jobs
     /// name different benchmarks (a batch shares one reference trace).
@@ -203,11 +204,11 @@ impl EvalJob {
 /// and submitted via
 /// [`Evaluator::submit_batch`](crate::service::Evaluator::submit_batch).
 ///
-/// All members share the batch's single reference trace and baseline; per
-/// scheme family the members run as parallel lanes of one batched simulation
+/// All members share the batch's single reference trace and baseline; every
+/// scheme of every member runs as a parallel lane of one batched simulation
 /// pass (see [`mcd_sim::batch::BatchedSimulator`]), and members whose configs
 /// differ only in the slowdown target additionally share one
-/// capture/DAG/shaker pass through the incremental histogram artifacts.
+/// capture/DAG/shaker pass and one training run.
 #[derive(Debug, Clone)]
 pub struct EvalBatch {
     pub(crate) jobs: Vec<EvalJob>,

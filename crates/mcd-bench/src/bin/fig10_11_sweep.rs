@@ -7,8 +7,8 @@
 //! parameter series is submitted as one *batched job group*
 //! ([`EvalJob::batch`]), so the benchmark's reference trace and full-speed
 //! baseline are paid for once per batch, the threshold series re-derives
-//! every slowdown point from a single capture/shaker pass, and each scheme
-//! family replays all points as parallel lanes of one batched trace pass.
+//! every slowdown point from a single capture/shaker pass, and every scheme
+//! replays all points as parallel lanes of one batched trace pass.
 //! The printed figures are bit-identical to submitting every job
 //! independently — only the wall clock (and the stderr statistics) differ.
 

@@ -4,8 +4,9 @@
 //! [`run`] evaluates the selected benchmarks with the full registry (the
 //! paper's four schemes plus the controller zoo) through one [`Evaluator`],
 //! submitting each benchmark as a single batch so the batched simulation
-//! path — shared baselines, pooled capture/training passes, multi-lane trace
-//! passes — carries the whole tournament. [`render`] is a pure function from
+//! path — shared baselines, one capture and one training run shared by the
+//! profile and learned schemes, and one multi-lane trace pass carrying every
+//! scheme but global DVS — carries the whole tournament. [`render`] is a pure function from
 //! the evaluations to the report text, so the output is byte-stable across
 //! runs, across cold/warm caches, and across `--jobs` values (the snapshot
 //! test and the CI smoke both rely on this).
@@ -23,8 +24,8 @@ use mcd_dvfs::service::{EvalJob, Evaluator};
 use mcd_workloads::suite::{self, Benchmark, SuiteKind};
 
 /// Evaluates `benches` under `config` through one batched [`Evaluator`] —
-/// each benchmark is submitted as a single batch, so every scheme family
-/// rides the batched simulation path — and reports the evaluator's batch
+/// each benchmark is submitted as a single batch, so every scheme rides one
+/// batched simulation pass — and reports the evaluator's batch
 /// counters on stderr (`mcd-batch: ...`, machine-greppable like the cache
 /// line). Evaluations return in submission order.
 pub fn run(

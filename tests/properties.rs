@@ -619,9 +619,9 @@ fn server_tier_is_deterministic_across_parallelism() {
 ///
 /// The serial reference is computed once per benchmark for all eight
 /// configurations; each batch must reproduce the matching prefix bit for bit
-/// — lanes share one trace pass per family and (for the analysis schemes)
-/// one capture/shaker pass, so any divergence in lane state isolation shows
-/// up here. The registry-coverage assertion at the end makes the property
+/// — every scheme's lane of every member shares one trace pass, and the
+/// analysis schemes share one capture/shaker pass and one training run, so
+/// any divergence in lane state isolation shows up here. The registry-coverage assertion at the end makes the property
 /// self-extending: a newly registered scheme is automatically subject to it
 /// unless explicitly exempted below with a reason.
 #[test]
